@@ -6,12 +6,15 @@ Usage, from the root of a checkout::
     python3 perfbench/run.py --workload all --seed 1     # every workload, both runs
 
 ``--trace 0`` reports the end-to-end metrics, measured in a fresh worker
-process with tracing off.  ``--trace 1`` runs the workload's first batch
-traced, between two untraced runs of it, and reports the per-layer metrics.  The last
-line of standard output is one JSON object with the keys ``correct``,
-``attempted``, ``failed`` and ``metrics``; the lines above it give every
-metric by name with its unit.  The exit status is 1 if any answer was wrong
-and 2 if the run could not be made.  See README.md in this directory.
+process with tracing off.  Their times are scaled to the reference speed by
+probes of the host's speed (see hostspeed.py); the lines above the last give
+the measured values beside them.  ``--trace 1`` runs one pass over the
+workload's query set traced, between two untraced passes, and reports the
+per-layer metrics.  The last line of standard output is one JSON object with
+the keys ``correct``, ``attempted``, ``failed`` and ``metrics``; the lines
+above it give every metric by name with its unit.  The exit status is 1 if
+any answer was wrong and 2 if the run could not be made.  See README.md in
+this directory.
 """
 from __future__ import annotations
 
@@ -67,30 +70,46 @@ def measure(workload: str, seed: int, seconds: int, trace: int) -> dict:
     if trace:
         main = run_worker(options, deadline)
         metrics = {name: (main["layers"][name], unit) for name, unit in LAYER_METRICS}
+        measured = {}
     else:
-        setups = [run_worker(options + ["--setup-only"], deadline)["setup_s"]
+        setups = [run_worker(options + ["--setup-only"], deadline)
                   for _ in range(SETUP_PROBES)]
         main = run_worker(options, deadline)
-        setups.append(main["setup_s"])
-        latencies = main["latencies_ms"]
-        deciles = statistics.quantiles(latencies, n=10) if len(latencies) > 1 else [0.0] * 9
-        values = {
-            "queries_per_s": len(latencies) / main["wall_s"],
+        setups.append(main)
+        deciles = deciles_of(main["latencies_ms"])
+        scaled = deciles_of(main["scaled_latencies_ms"])
+        measured = {
+            "queries_per_s": main["completed"] / main["wall_s"],
             "query_p50_ms": deciles[4],
             "query_p90_ms": deciles[8],
-            "setup_s": statistics.median(setups),
+            "setup_s": statistics.median(s["setup_s"] for s in setups),
+        }
+        values = {
+            "queries_per_s": measured["queries_per_s"] * main["host_scale"],
+            "query_p50_ms": scaled[4],
+            "query_p90_ms": scaled[8],
+            "setup_s": statistics.median(s["setup_s"] / s["host_scale"] for s in setups),
             "peak_rss_mb": main["peak_rss_mb"],
         }
         metrics = {name: (values[name], unit) for name, unit in END_TO_END}
     return {"attempted": main["attempted"], "failed": main["failed"],
-            "failures": main["failures"], "metrics": metrics,
-            "detail": {k: main[k] for k in ("batches", "untraced_wall_s") if k in main}}
+            "failures": main["failures"], "metrics": metrics, "measured": measured,
+            "detail": {k: main[k] for k in ("passes", "host_scale", "untraced_wall_s")
+                       if k in main}}
+
+
+def deciles_of(latencies: list[float]) -> list[float]:
+    return statistics.quantiles(latencies, n=10) if len(latencies) > 1 else [0.0] * 9
 
 
 def report(workload: str, run: dict) -> None:
-    """Print every metric of one run by name, with its unit."""
+    """Print every metric of one run by name, with its unit and, for a time
+    put on the reference scale, the value as measured."""
     for name, (value, unit) in run["metrics"].items():
-        print(f"{workload:<10} {name:<45} {value:>16.6f} {unit}")
+        line = f"{workload:<10} {name:<45} {value:>16.6f} {unit}"
+        if name in run["measured"]:
+            line += f" (measured {run['measured'][name]:.6f})"
+        print(line)
     failed_frac = run["failed"] / max(run["attempted"], 1)
     print(f"{workload:<10} {'failed_frac':<45} {failed_frac:>16.6f} frac "
           f"({run['failed']} of {run['attempted']} queries; {run['detail']})")

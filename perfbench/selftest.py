@@ -10,9 +10,12 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
+import time
 import unittest
 from pathlib import Path
+from unittest import mock
 
+import hostspeed
 import reference
 import run
 import spans
@@ -20,25 +23,19 @@ import worker
 import workloads
 
 
-def first_batches(workload: str, seed: int, count: int = 2) -> list:
-    stream = workloads.batches(workload, seed)
-    return [next(stream) for _ in range(count)]
-
-
 class SeededInputs(unittest.TestCase):
     def test_same_seed_same_queries(self):
         for workload in workloads.WORKLOADS:
             with self.subTest(workload=workload):
-                self.assertEqual(first_batches(workload, 7), first_batches(workload, 7))
-                self.assertNotEqual(first_batches(workload, 7), first_batches(workload, 8))
+                self.assertEqual(workloads.queries(workload, 7), workloads.queries(workload, 7))
+                self.assertNotEqual(workloads.queries(workload, 7), workloads.queries(workload, 8))
 
-    def test_batches_are_large_enough_for_p90(self):
+    def test_query_sets_are_large_enough_for_p90(self):
         for workload in workloads.WORKLOADS:
-            self.assertGreaterEqual(len(first_batches(workload, 1, 1)[0]), 100)
+            self.assertGreaterEqual(len(workloads.queries(workload, 1)), 100)
 
-    def test_oracle_batch_is_the_fixed_mix(self):
-        batch = first_batches("oracle", 3, 1)[0]
-        self.assertEqual(sorted(t for _, t in batch),
+    def test_oracle_set_is_the_fixed_mix(self):
+        self.assertEqual(sorted(t for _, t in workloads.queries("oracle", 3)),
                          sorted(t for t, n in workloads.ORACLE_MIX.items() for _ in range(n)))
 
     def test_recursion_cost_sums_over_reachable_triples(self):
@@ -78,8 +75,29 @@ class Checker(unittest.TestCase):
     def test_executor_counts_a_wrong_answer_as_failed(self):
         executor = worker.Executor("oracle")
         executor.execute = lambda kind, arg: 41473
-        executor.run_query("oracle", "E6")
-        self.assertEqual((executor.attempted, executor.failed, executor.latencies_ms), (1, 1, []))
+        self.assertIsNone(executor.run_query("oracle", "E6"))
+        self.assertEqual((executor.attempted, executor.failed), (1, 1))
+
+
+class HostSpeed(unittest.TestCase):
+    def test_probe_walks_s5(self):
+        self.assertEqual(hostspeed.probe(), 120)
+
+    def test_scale_is_mean_probe_time_over_reference(self):
+        host = hostspeed.HostSpeed()
+        host.samples = [hostspeed.REFERENCE_PROBE_S, 3 * hostspeed.REFERENCE_PROBE_S]
+        self.assertAlmostEqual(host.scale(), 2.0)
+
+    def test_probing_is_left_out_of_pass_wall_time(self):
+        executor = worker.Executor("oracle")
+        executor.execute = lambda kind, arg: reference.dynkin_count(arg)
+        host = hostspeed.HostSpeed()
+        with mock.patch.object(hostspeed, "probe", lambda: time.sleep(0.01)):
+            wall, latencies, scales = executor.run_pass([("oracle", "A3")] * 5, host=host)
+        self.assertEqual((len(host.samples), len(latencies), len(scales)), (6, 5, 5))
+        self.assertGreaterEqual(host.spent_s, 0.06)
+        self.assertLess(wall, 0.01)
+        self.assertTrue(all(s > 10 for s in scales))  # 10 ms probes against 0.5 ms
 
 
 class SpanRecorder(unittest.TestCase):
@@ -105,17 +123,17 @@ class SpanRecorder(unittest.TestCase):
 EXACT = ("weyl.elements_visited", "diagrams.classify_forest.calls",
          "counting.CountCache.get_affine.calls", "diagrams.vertices_classified",
          "counting.cache_file_bytes", "arith.calls", "cli.main.calls")
-SMALL_BATCHES = {
+SMALL_SETS = {
     "oracle": [("oracle", t) for t in ("A3", "D4", "A4", "D5")],
     "recursion": [("affine", (2, 3, 5)), ("affine", (1, 6, 9)), ("dynkin", "D30")],
-    "session": first_batches("session", 1, 1)[0][:40],
+    "session": workloads.queries("session", 1)[:40],
 }
 
 
 class TracedRun(unittest.TestCase):
     def traced(self, workload: str) -> dict:
         executor = worker.Executor(workload)
-        result = worker.traced_run(executor, SMALL_BATCHES[workload])
+        result = worker.traced_run(executor, SMALL_SETS[workload])
         self.assertEqual(executor.failures, [])
         return result["layers"]
 
@@ -128,7 +146,7 @@ class TracedRun(unittest.TestCase):
     def test_oracle_visits_nc_w(self):
         layers = self.traced("oracle")
         self.assertEqual(layers["weyl.elements_visited"],
-                         sum(reference.nc_size(t) for _, t in SMALL_BATCHES["oracle"]))
+                         sum(reference.nc_size(t) for _, t in SMALL_SETS["oracle"]))
 
     def test_self_times_account_for_wall_time(self):
         layers = self.traced("recursion")

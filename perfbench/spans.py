@@ -253,9 +253,9 @@ def aggregate(names, name, parent, start, end) -> dict[str, tuple[int, float]]:
 
 
 def layer_metrics(tracer: Tracer, traced_wall: float, untraced_wall: float) -> dict[str, float]:
-    """Every metric of :data:`LAYER_METRICS` from one traced batch.
+    """Every metric of :data:`LAYER_METRICS` from one traced pass.
 
-    ``traced_wall`` and ``untraced_wall`` time the same batch with and
+    ``traced_wall`` and ``untraced_wall`` time the same pass with and
     without tracing.  The benchmark's own time is the self time of its
     ``bench.query`` spans plus the part of the traced wall time outside them.
     """

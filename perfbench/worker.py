@@ -1,10 +1,16 @@
 """One benchmark run of one workload, in a fresh single-threaded process.
 
 ``run.py`` starts this file and reads the one JSON object it prints.  The
-worker imports fecount from the checkout's ``src/``, makes the first batch of
-queries, and then either stops (``--setup-only``, to time set-up again),
-runs whole batches until ``--seconds`` are nearly used (``--trace 0``), or
-runs the first batch traced between two untraced runs of it (``--trace 1``).
+worker imports fecount from the checkout's ``src/``, makes the run's query
+set, and then either stops (``--setup-only``, to time set-up again), runs
+whole passes over the set until ``--seconds`` are nearly used and at least
+:data:`MIN_PASSES` are done (``--trace 0``), or runs one pass traced between
+two untraced passes (``--trace 1``).  Untraced, it also probes the host's
+speed (:mod:`hostspeed`): around every query in a run, and for a quarter
+second after set-up with ``--setup-only``.
+
+A query's latency is its mean over the passes, both as measured and scaled
+to the reference speed by the probes around each of its runs.
 
 Each query's answer is checked against :mod:`reference`; a wrong value, an
 exception, a non-zero exit or ``agree/holds/matches: false`` is a failure.
@@ -17,11 +23,13 @@ import io
 import json
 import resource
 import shutil
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import hostspeed
 import reference
 import spans
 import workloads
@@ -31,6 +39,8 @@ ROOT = HERE.parent
 WORK_DIR = ROOT / ".perfbench-runs"
 ORACLE_BUDGET_MS = 60_000.0  # the default budget of `fec oracle`
 MAX_REPORTED_FAILURES = 5
+MIN_PASSES = 3
+SETUP_SAMPLING_S = 0.25
 
 
 class Executor:
@@ -48,13 +58,12 @@ class Executor:
         self.fecount = fecount
         self.workload = workload
         self.cache_dir: str | None = None
-        self.latencies_ms: list[float] = []
         self.attempted = 0
         self.failures: list[str] = []
         self.failed = 0
 
-    def new_batch(self) -> None:
-        """Give a session batch a fresh, empty directory for its cache file."""
+    def new_pass(self) -> None:
+        """Give a session pass a fresh, empty directory for its cache file."""
         self.close()
         if self.workload != "session":
             return
@@ -84,15 +93,15 @@ class Executor:
                 code = exc.code
         return code, out.getvalue()
 
-    def run_query(self, kind: str, arg) -> None:
-        """Run, time and check one query."""
+    def run_query(self, kind: str, arg) -> float | None:
+        """Run, time and check one query: its latency in ms, or None if it failed."""
         self.attempted += 1
         started = time.perf_counter()
         try:
             outcome = self.execute(kind, arg)
         except Exception as exc:  # any exception is a failed query
             self.fail(f"{kind} {arg}: {type(exc).__name__}: {exc}")
-            return
+            return None
         elapsed = time.perf_counter() - started
         try:
             problem = reference.check(kind, arg, outcome)
@@ -100,50 +109,62 @@ class Executor:
             problem = f"malformed output: {type(exc).__name__}: {exc}"
         if problem is not None:
             self.fail(f"{kind} {arg}: {problem}")
-        else:
-            self.latencies_ms.append(1000 * elapsed)
+            return None
+        return 1000 * elapsed
 
     def fail(self, reason: str) -> None:
         self.failed += 1
         if len(self.failures) < MAX_REPORTED_FAILURES:
             self.failures.append(reason)
 
-    def run_batch(self, batch: list, tracer=None) -> float:
-        """Wall time of one batch; with a tracer, each query is one root span."""
+    def run_pass(self, queries: list, tracer=None, host=None) -> tuple[float, list, list]:
+        """One pass over the queries: its wall time less the time spent
+        probing the host's speed, each query's latency in ms (None if it
+        failed), and with a host each query's scale, the mean of the probes
+        before and after it.  With a tracer, each query is one root span."""
         run_query = self.run_query if tracer is None else tracer.wrap("bench.query", self.run_query)
+        latencies, scales = [], []
+        probing = host.spent_s if host is not None else 0.0
         started = time.perf_counter()
-        self.new_batch()
-        for index, (kind, arg) in enumerate(batch):
+        self.new_pass()
+        before = host.sample() if host is not None else None
+        for index, (kind, arg) in enumerate(queries):
             if tracer is not None:
                 tracer.query = index
-            run_query(kind, arg)
+            latencies.append(run_query(kind, arg))
+            if host is not None:
+                after = host.sample()
+                scales.append((before + after) / 2)
+                before = after
         self.close()
-        return time.perf_counter() - started
+        if host is not None:
+            probing = host.spent_s - probing
+        return time.perf_counter() - started - probing, latencies, scales
 
 
-def _visited_failures(batch: list, visited: list[tuple[int, int]]) -> list[str]:
+def _visited_failures(queries: list, visited: list[tuple[int, int]]) -> list[str]:
     """The oracle must visit exactly the elements of NC(W) for each query."""
     seen = dict(visited)
     return [
         f"oracle {arg}: visited {seen.get(i)} elements, expected {reference.nc_size(arg)}"
-        for i, (kind, arg) in enumerate(batch)
+        for i, (kind, arg) in enumerate(queries)
         if kind == "oracle" and seen.get(i) != reference.nc_size(arg)
     ]
 
 
-def traced_run(executor: Executor, batch: list) -> dict:
-    """Per-layer metrics of one batch, and the tracer that recorded them."""
-    # The untraced batch runs before and after the traced one; the faster
-    # of the two leaves out the first batch's warm-up.
-    untraced = executor.run_batch(batch)
+def traced_run(executor: Executor, queries: list) -> dict:
+    """Per-layer metrics of one pass, and the tracer that recorded them."""
+    # An untraced pass runs before and after the traced one; the faster
+    # of the two leaves out the first pass's warm-up.
+    untraced = executor.run_pass(queries)[0]
     tracer = spans.Tracer()
     tracer.install()
     try:
-        traced = executor.run_batch(batch, tracer)
+        traced = executor.run_pass(queries, tracer)[0]
     finally:
         tracer.remove()
-    untraced = min(untraced, executor.run_batch(batch))
-    for reason in _visited_failures(batch, tracer.visited):
+    untraced = min(untraced, executor.run_pass(queries)[0])
+    for reason in _visited_failures(queries, tracer.visited):
         executor.fail(reason)
     return {"layers": spans.layer_metrics(tracer, traced, untraced),
             "untraced_wall_s": untraced, "tracer": tracer}
@@ -160,31 +181,43 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--setup-only", action="store_true")
     args = parser.parse_args(argv)
 
-    stream = workloads.batches(args.workload, args.seed)
-    batch = next(stream)
+    queries = workloads.queries(args.workload, args.seed)
     executor = Executor(args.workload)
     result: dict = {"setup_s": time.monotonic() - args.t0}
+    host = hostspeed.HostSpeed()
     if args.setup_only:
-        print(json.dumps(result))
+        host.sample_for(SETUP_SAMPLING_S)
+        print(json.dumps(dict(result, host_scale=host.scale())))
         return 0
 
     try:
         if args.trace:
-            result.update(traced_run(executor, batch))
+            result.update(traced_run(executor, queries))
             WORK_DIR.mkdir(exist_ok=True)
             # One file per workload, so repeated traced runs do not pile up.
             result.pop("tracer").write(str(WORK_DIR / f"{args.workload}.spans"))
         else:
-            wall, batches = 0.0, 0
+            wall, passes = 0.0, 0
+            measured = [[] for _ in queries]
+            scaled = [[] for _ in queries]
             while True:
-                wall += executor.run_batch(batch)
-                batches += 1
-                # Stop at the batch end nearest to the time asked for.
-                if wall + wall / batches / 2 >= args.seconds:
+                pass_wall, latencies, scales = executor.run_pass(queries, host=host)
+                wall += pass_wall
+                passes += 1
+                for i, (latency, scale) in enumerate(zip(latencies, scales)):
+                    if latency is not None:
+                        measured[i].append(latency)
+                        scaled[i].append(latency / scale)
+                # Stop at the pass end nearest to the time asked for.
+                if passes >= MIN_PASSES and wall + wall / passes / 2 >= args.seconds:
                     break
-                batch = next(stream)
-            result["wall_s"] = wall
-            result["batches"] = batches
+            # The time-weighted scale of the run: measured over scaled query time.
+            scaled_s = sum(map(sum, scaled))
+            result.update(
+                wall_s=wall, passes=passes, completed=sum(map(len, measured)),
+                host_scale=sum(map(sum, measured)) / scaled_s if scaled_s else host.scale(),
+                latencies_ms=[statistics.fmean(t) for t in measured if t],
+                scaled_latencies_ms=[statistics.fmean(t) for t in scaled if t])
     finally:
         executor.close()
 
@@ -192,7 +225,6 @@ def main(argv: list[str] | None = None) -> int:
         attempted=executor.attempted,
         failed=executor.failed,
         failures=executor.failures,
-        latencies_ms=executor.latencies_ms,
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     )
     print(json.dumps(result))

@@ -1,8 +1,7 @@
-"""Seeded query streams for the three workloads.
+"""Seeded query sets for the three workloads.
 
-A run works through a stream of batches.  Each batch is at least 100
-queries, drawn from the run's seed and the batch's index, so a run that
-takes more batches sees more distinct inputs.  A query is a pair
+A run draws one set of at least 100 queries from its seed and works through
+that set in passes, so every query is timed several times.  A query is a pair
 ``(kind, arg)`` of plain values: ``("oracle", "E7")``,
 ``("affine", (1, 20, 20))``, ``("dynkin", "A100")`` or
 ``("cli", ("affine", "2", "3", "5", ...))``.
@@ -14,25 +13,23 @@ of small and large inputs, so the throughput and the latency quantiles
 depend on the code and not on which seed the run got.
 
 * ``oracle``: the brute-force Weyl-group count, as ``fec oracle`` runs it.
-  Only 13 types have rank <= 7, so each batch is one fixed multiset of
+  Only 13 types have rank <= 7, so the set is one fixed multiset of
   them (one stratum per type) in a seeded order.  Small types are most of
-  the batch.  E7, D7, A7, E6, D6 and A6 come once each and are most of its
+  the set.  E7, D7, A7, E6, D6 and A6 come once each and are most of its
   time.  E8 (about 40 s per query) is left out.
 * ``recursion``: cold library calls of the deletion recursions,
   ``e_affine(triple, CountCache())`` on admissible triples with mu <= 40
   and ``e_dynkin_recursive`` on A_n/D_n of rank <= 120.
 * ``session``: ``fec`` commands run in one process through ``cli.main``.
   Most are ``affine ... --method all --cache {cache}`` on one cache file
-  per batch, so cache hits and whole-file rewrites both grow through the
-  batch.  The rest are ``dynkin``, ``forest`` and one fixed set of
-  ``verify``/``table`` sweeps.  ``{cache}`` stands for the batch's cache
+  per pass, so cache hits and whole-file rewrites both grow through the
+  pass.  The rest are ``dynkin``, ``forest`` and one fixed set of
+  ``verify``/``table`` sweeps.  ``{cache}`` stands for the pass's cache
   file path.
 """
 from __future__ import annotations
 
-import functools
 import random
-from typing import Iterator
 
 from reference import admissible
 
@@ -49,10 +46,14 @@ RECURSION_AFFINE, RECURSION_DYNKIN = 60, 40
 
 SESSION_MAX_MU = 20
 SESSION_MAX_RANK = 40
-SESSION_AFFINE, SESSION_DYNKIN, SESSION_FOREST, SESSION_ORACLE = 80, 15, 8, 7
+SESSION_AFFINE, SESSION_DYNKIN, SESSION_FOREST = 80, 15, 8
+# Small brute-force checks, a fixed multiset: they sit near the session's p90.
+SESSION_ORACLE = ("A1", "A2", "A3", "A4", "D4", "A4", "D4")
 FOREST_PARTS = ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "E8"]
+# Seven equal Hurwitz sweeps make a block of equal latencies around the p90,
+# so which affine cache misses a seed draws barely moves the p90.
 SESSION_SWEEPS = [
-    ("verify", "hurwitz", "--max", "10"), ("verify", "hurwitz", "--max", "11"),
+    *[("verify", "hurwitz", "--max", "10")] * 7, ("verify", "hurwitz", "--max", "11"),
     ("verify", "hurwitz", "--max", "12"), ("verify", "hurwitz", "--max", "13"),
     ("verify", "tables", "--max-r", "6"), ("verify", "tables", "--max-r", "9"),
     ("verify", "cross", "--max-mu", "10"), ("verify", "cross", "--max-mu", "12"),
@@ -86,20 +87,20 @@ def _stratified(pool: list, n: int, power: float, rng: random.Random) -> list:
     return [pool[rng.randint(max(0, c - JITTER), min(last, c + JITTER))] for c in centres]
 
 
-def _oracle_batch(rng: random.Random) -> list:
-    batch = [("oracle", t) for t, count in ORACLE_MIX.items() for _ in range(count)]
-    rng.shuffle(batch)
-    return batch
+def _oracle_queries(rng: random.Random) -> list:
+    drawn = [("oracle", t) for t, count in ORACLE_MIX.items() for _ in range(count)]
+    rng.shuffle(drawn)
+    return drawn
 
 
-def _recursion_batch(rng: random.Random, triples: list, types: list) -> list:
-    batch = [("affine", t) for t in _stratified(triples, RECURSION_AFFINE, 3, rng)]
-    batch += [("dynkin", t) for t in _stratified(types, RECURSION_DYNKIN, 2, rng)]
-    rng.shuffle(batch)
-    return batch
+def _recursion_queries(rng: random.Random, triples: list, types: list) -> list:
+    drawn = [("affine", t) for t in _stratified(triples, RECURSION_AFFINE, 3, rng)]
+    drawn += [("dynkin", t) for t in _stratified(types, RECURSION_DYNKIN, 2, rng)]
+    rng.shuffle(drawn)
+    return drawn
 
 
-def _session_batch(rng: random.Random, triples: list, types: list) -> list:
+def _session_queries(rng: random.Random, triples: list, types: list) -> list:
     argvs = [
         ("affine", *map(str, t), "--method", "all", "--cache", CACHE)
         for t in _stratified(triples, SESSION_AFFINE, 1, rng)
@@ -110,10 +111,7 @@ def _session_batch(rng: random.Random, triples: list, types: list) -> list:
     argvs += [
         ("forest", *rng.sample(FOREST_PARTS, rng.randint(2, 4))) for _ in range(SESSION_FOREST)
     ]
-    argvs += [
-        ("dynkin", rng.choice(["A1", "A2", "A3", "A4", "D4"]), "--method", "all")
-        for _ in range(SESSION_ORACLE)
-    ]
+    argvs += [("dynkin", t, "--method", "all") for t in SESSION_ORACLE]
     argvs += SESSION_SWEEPS
     rng.shuffle(argvs)
     return [("cli", argv) for argv in argvs]
@@ -124,21 +122,15 @@ def _types(low: int, high: int) -> list[str]:
     return [f"{f}{n}" for n in range(low, high + 1) for f in "AD" if f == "A" or n >= 4]
 
 
-def batches(workload: str, seed: int) -> Iterator[list]:
-    """The endless stream of batches for one workload and seed."""
+def queries(workload: str, seed: int) -> list:
+    """The query set of one run of a workload."""
+    rng = random.Random(f"{workload}:{seed}")
     if workload == "oracle":
-        make = _oracle_batch
-    elif workload == "recursion":
+        return _oracle_queries(rng)
+    if workload == "recursion":
         triples = sorted(admissible(RECURSION_MAX_MU), key=recursion_cost)
-        types = _types(1, RECURSION_MAX_RANK)
-        make = functools.partial(_recursion_batch, triples=triples, types=types)
-    elif workload == "session":
+        return _recursion_queries(rng, triples, _types(1, RECURSION_MAX_RANK))
+    if workload == "session":
         triples = sorted(admissible(SESSION_MAX_MU), key=recursion_cost)
-        types = _types(4, SESSION_MAX_RANK)
-        make = functools.partial(_session_batch, triples=triples, types=types)
-    else:
-        raise ValueError(f"unknown workload {workload!r}; choose from {WORKLOADS}")
-    index = 0
-    while True:
-        yield make(random.Random(f"{workload}:{seed}:{index}"))
-        index += 1
+        return _session_queries(rng, triples, _types(4, SESSION_MAX_RANK))
+    raise ValueError(f"unknown workload {workload!r}; choose from {WORKLOADS}")
