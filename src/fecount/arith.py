@@ -12,11 +12,6 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-# Aliases used in signatures throughout the package.
-Natural = int
-Ratio = Fraction
-
-
 class NonIntegralError(ValueError):
     """An exact rational that was required to be an integer is not one."""
 
@@ -59,17 +54,6 @@ def multinomial(parts: Iterable[int]) -> int:
     for p in parts:
         out //= math.factorial(p)  # exact: every prefix quotient is integral
     return out
-
-
-def ipow(base: int, exp: int) -> int:
-    """base**exp for exp >= 0, with 0**0 = 1 (empty product).
-
-    >>> ipow(5, 5), ipow(7, 0), ipow(0, 0)
-    (3125, 1, 1)
-    """
-    if exp < 0:
-        raise ValueError(f"ipow wants a non-negative exponent, got {exp}")
-    return base ** exp
 
 
 def ratio_pow(base: int, exp: int) -> Fraction:

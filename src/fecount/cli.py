@@ -33,15 +33,19 @@ class CliError(Exception):
 
 
 def _oracle_budget_ms(override: float | None) -> float:
-    if override is not None:
-        return override
-    raw = os.environ.get("FEC_ORACLE_BUDGET_MS")
-    if raw is None:
-        return DEFAULT_ORACLE_BUDGET_MS
+    """The oracle budget; inf means no deadline and 0 expires at once."""
+    source, raw = "--budget-ms", override
+    if override is None:
+        source, raw = "FEC_ORACLE_BUDGET_MS", os.environ.get("FEC_ORACLE_BUDGET_MS")
+        if raw is None:
+            return DEFAULT_ORACLE_BUDGET_MS
     try:
-        return float(raw)
+        budget = float(raw)
     except ValueError as exc:
-        raise CliError(f"FEC_ORACLE_BUDGET_MS must be a number, got {raw!r}") from exc
+        raise CliError(f"{source} must be a number, got {raw!r}") from exc
+    if not budget >= 0:  # also rejects NaN, which would disable the deadline
+        raise CliError(f"{source} must be a non-negative number of ms, got {budget}")
+    return budget
 
 
 def _parse_dynkin_args(tokens: list[str]) -> DynkinType:
@@ -107,12 +111,13 @@ def cmd_affine(args: argparse.Namespace) -> int:
         raise CliError("no finite oracle exists for orbifold counts; "
                        "use --method closed/recursive/degll/both/all")
     triple = _parse_triple(args.orders)
-    cache = None
+    cache = CountCache()
     if args.cache and os.path.exists(args.cache):
-        cache = load_cache(args.cache)
+        try:
+            cache = load_cache(args.cache)
+        except (ValueError, OSError) as exc:
+            raise CliError(f"cannot read cache file: {exc}") from exc
         log.info("loaded %d cached counts from %s", len(cache), args.cache)
-    if cache is None:
-        cache = CountCache()
     started = time.perf_counter()
     values: dict[str, str] = {}
     if args.method in ("closed", "both", "all"):
@@ -127,7 +132,7 @@ def cmd_affine(args: argparse.Namespace) -> int:
     if agree is not None:
         record["agree"] = agree
     _emit(record, (time.perf_counter() - started) * 1000)
-    if args.cache:
+    if args.cache and agree is not False:
         save_cache(cache, args.cache)
         log.info("saved %d counts to %s", len(cache), args.cache)
     return 0 if agree in (None, True) else 1

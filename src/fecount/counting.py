@@ -7,6 +7,12 @@ a deletion recursion whose first term is scaled by 1/chi, and a product
 formula for the degree of the Lyashko-Looijenga map.  All three agree; the
 test suite insists on it.
 
+Both recursions share one kernel: :func:`deletion_counts` gives the forest
+count left by deleting each vertex, :func:`affine_parts` adds the branch
+term of each orbifold point and depth, and :func:`affine_total` assembles
+the triple's count from those parts.  The golden tables in
+:mod:`fecount.verify` read the same parts, so they check the live recursion.
+
 Every routine works in exact integers/rationals and asserts integrality of
 rational totals (raising :class:`fecount.arith.NonIntegralError` rather than
 rounding).  The recursion over triples is memoized through
@@ -22,10 +28,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .arith import as_natural, binomial, factorial, multinomial
+from .arith import as_natural, binomial, factorial, multinomial, parse_decimal, render_decimal
 from .diagrams import (
     DynkinForest,
     DynkinType,
+    MarkedGraph,
     OrbifoldTriple,
     classify_forest,
     delete_vertex,
@@ -107,6 +114,13 @@ def e_forest(forest: DynkinForest) -> int:
     return shuffle * math.prod(e_dynkin_closed(c) for c in forest.components)
 
 
+def deletion_counts(graph: MarkedGraph) -> list[int]:
+    """Forest count left by deleting each vertex, in label order."""
+    return [
+        e_forest(classify_forest(delete_vertex(graph, v))) for v in sorted(graph.vertices)
+    ]
+
+
 def e_dynkin_recursive(dtype: DynkinType) -> int:
     """Vertex-deletion recursion: (h/2) * sum over deleted vertices.
 
@@ -117,25 +131,21 @@ def e_dynkin_recursive(dtype: DynkinType) -> int:
     >>> e_dynkin_recursive(DynkinType("A", 2))
     3
     """
-    graph = dynkin_diagram(dtype)
-    total = sum(
-        e_forest(classify_forest(delete_vertex(graph, v))) for v in graph.vertices
-    )
+    total = sum(deletion_counts(dynkin_diagram(dtype)))
     val = Fraction(coxeter_number(dtype), 2) * total
     return as_natural(val, f"recursion total for {dtype}")
 
 
 class CountCache:
-    """Memo for the triple recursion plus a side table for Dynkin counts.
+    """Memo for the triple recursion: one count per orbifold triple.
 
     Reads are lock-free (a plain dict lookup); writes are serialized, so
     concurrent use is safe and always yields the same values as a fresh
-    cache.  ``hits``/``misses`` only count triple lookups.
+    cache.  ``hits``/``misses`` count lookups.
     """
 
     def __init__(self) -> None:
         self._affine: dict[OrbifoldTriple, int] = {}
-        self._dynkin: dict[DynkinType, int] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -153,14 +163,6 @@ class CountCache:
         with self._lock:
             self._affine[triple] = value
 
-    def dynkin_count(self, dtype: DynkinType) -> int:
-        value = self._dynkin.get(dtype)
-        if value is None:
-            value = e_dynkin_closed(dtype)
-            with self._lock:
-                self._dynkin[dtype] = value
-        return value
-
     def items(self) -> list[tuple[OrbifoldTriple, int]]:
         return sorted(self._affine.items(), key=lambda kv: kv[0].orders)
 
@@ -171,7 +173,7 @@ class CountCache:
 def save_cache(cache: CountCache, path: str | Path) -> None:
     """Write triple counts as lines "a1,a2,a3 -> count"."""
     lines = [
-        "{},{},{} -> {}".format(*t.orders, v)
+        "{},{},{} -> {}".format(*t.orders, render_decimal(v))
         for t, v in cache.items()
     ]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
@@ -190,7 +192,7 @@ def load_cache(path: str | Path) -> CountCache:
         try:
             key, _, value = line.partition("->")
             a1, a2, a3 = (int(x) for x in key.strip().split(","))
-            cache.put_affine(OrbifoldTriple.of(a1, a2, a3), int(value.strip()))
+            cache.put_affine(OrbifoldTriple.of(a1, a2, a3), parse_decimal(value))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad cache line {raw!r}") from exc
     return cache
@@ -222,27 +224,44 @@ def _e_affine(triple: OrbifoldTriple, cache: CountCache) -> int:
     memo = cache.get_affine(triple)
     if memo is not None:
         return memo
-
-    graph = extended_diagram(triple)
-    deletion_sum = sum(
-        e_forest(classify_forest(delete_vertex(graph, v))) for v in graph.vertices
-    )
-    first = Fraction(deletion_sum) / triple.chi
-    if first.denominator != 1:
-        log.info("deletion term for %s is non-integral on its own: %s", triple, first)
-
-    mu = triple.mu
-    second = 0
-    for i, a_i in enumerate(triple.orders):
-        for j in range(1, a_i):
-            tail_rank = a_i - j - 1
-            tail = 1 if tail_rank == 0 else cache.dynkin_count(DynkinType("A", tail_rank))
-            sub = _e_affine(triple.with_order(i, j), cache)
-            second += a_i * binomial(mu - 1, tail_rank) * sub * tail
-
-    value = as_natural(first + second, f"recursion total for {triple}")
+    value = affine_total(triple, *affine_parts(triple, cache))
     cache.put_affine(triple, value)
     return value
+
+
+def affine_parts(
+    triple: OrbifoldTriple, cache: CountCache
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The terms of the triple recursion, before scaling and weighting.
+
+    Returns the deletion counts of the extended diagram (see
+    :func:`deletion_counts`) and one branch term ``(i, j, term)`` per
+    orbifold point i (1-based) and depth 1 <= j <= a_i - 1, where term is
+    C(mu-1, a_i-j-1) times the count for the triple with a_i lowered to j
+    times the count for a path on a_i-j-1 vertices (1 when empty).
+    Sub-triple counts go through ``cache``.
+    """
+    deletions = deletion_counts(extended_diagram(triple))
+    mu = triple.mu
+    branches = []
+    for i, a_i in enumerate(triple.orders, start=1):
+        for j in range(1, a_i):
+            tail_rank = a_i - j - 1
+            tail = 1 if tail_rank == 0 else e_dynkin_closed(DynkinType("A", tail_rank))
+            sub = _e_affine(triple.with_order(i - 1, j), cache)
+            branches.append((i, j, binomial(mu - 1, tail_rank) * sub * tail))
+    return deletions, branches
+
+
+def affine_total(
+    triple: OrbifoldTriple, deletions: list[int], branches: list[tuple[int, int, int]]
+) -> int:
+    """sum(deletions)/chi + sum of a_i * term over the branch terms."""
+    first = Fraction(sum(deletions)) / triple.chi
+    if first.denominator != 1:
+        log.info("deletion term for %s is non-integral on its own: %s", triple, first)
+    second = sum(triple.orders[i - 1] * term for i, _, term in branches)
+    return as_natural(first + second, f"recursion total for {triple}")
 
 
 def e_affine_closed(triple: OrbifoldTriple) -> int:

@@ -159,9 +159,6 @@ class MarkedGraph:
         norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
         return cls(frozenset(vertices), norm)
 
-    def neighbors(self, v: int) -> set[int]:
-        return {u if w == v else w for u, w in self.edges if v in (u, w)}
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -235,52 +232,49 @@ def delete_vertex(graph: MarkedGraph, v: int) -> MarkedGraph:
     )
 
 
-def connected_components(graph: MarkedGraph) -> list[MarkedGraph]:
-    """Connected components, each as its induced subgraph, in label order."""
-    adj: dict[int, set[int]] = {v: set() for v in graph.vertices}
+def classify_forest(graph: MarkedGraph) -> DynkinForest:
+    """Classify every component; the empty graph is the empty forest.
+
+    One pass: the adjacency is built once, each component is collected by
+    walking it, and each is classified from its degrees.  Paths are A_n.  A
+    unique degree-3 vertex with sorted branch sizes (1,1,m) gives D_{m+3},
+    and (1,2,2)/(1,2,3)/(1,2,4) give E6/E7/E8.  Everything else (a cycle,
+    degree >= 4, two forks, longer branch profiles) raises
+    :class:`ClassificationError`; such shapes cannot arise from deleting a
+    vertex of an extended diagram, so the error only guards misuse.
+
+    >>> g = delete_vertex(extended_diagram(OrbifoldTriple.of(2, 3, 3)), 5)
+    >>> str(classify_forest(g))
+    'A2 | A2 | A2'
+    """
+    adj: dict[int, list[int]] = {v: [] for v in graph.vertices}
     for u, v in graph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    out = []
+        adj[u].append(v)
+        adj[v].append(u)
+    types = []
     seen: set[int] = set()
-    for start in sorted(graph.vertices):
+    for start in adj:
         if start in seen:
             continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
+        seen.add(start)
+        component = [start]
+        for x in component:
             for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        out.append(MarkedGraph(
-            frozenset(comp),
-            frozenset(e for e in graph.edges if e[0] in comp),
-        ))
-    return out
+                if y not in seen:
+                    seen.add(y)
+                    component.append(y)
+        types.append(_tree_type(component, adj))
+    return DynkinForest.of(types)
 
 
-def classify_component(component: MarkedGraph) -> DynkinType:
-    """Recognize one connected tree as a Dynkin type.
-
-    Paths are A_n.  A unique degree-3 vertex with sorted branch sizes
-    (1,1,m) gives D_{m+3}, and (1,2,2)/(1,2,3)/(1,2,4) give E6/E7/E8.
-    Everything else (degree >= 4, two forks, a cycle, longer branch
-    profiles) raises :class:`ClassificationError`; such shapes cannot arise
-    from deleting a vertex of an extended diagram, so the error only guards
-    misuse.
-    """
+def _tree_type(component: list[int], adj: dict[int, list[int]]) -> DynkinType:
+    """The Dynkin type of one connected component of a graph with adjacency adj."""
     n = len(component)
-    if n == 0:
-        raise ClassificationError("empty component")
-    if len(component.edges) != n - 1:
+    if sum(len(adj[v]) for v in component) != 2 * (n - 1):
         raise ClassificationError("component is not a tree")
-    adj = {v: component.neighbors(v) for v in component.vertices}
-    if any(len(nb) > 3 for nb in adj.values()):
+    if any(len(adj[v]) > 3 for v in component):
         raise ClassificationError("vertex of degree >= 4")
-    forks = [v for v, nb in adj.items() if len(nb) == 3]
+    forks = [v for v in component if len(adj[v]) == 3]
     if not forks:
         return DynkinType("A", n)
     if len(forks) > 1:
@@ -289,11 +283,9 @@ def classify_component(component: MarkedGraph) -> DynkinType:
     branches = []
     for nb in adj[fork]:
         size, prev, cur = 1, fork, nb
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
+        while len(adj[cur]) == 2:
+            a, b = adj[cur]
+            prev, cur = cur, (b if a == prev else a)
             size += 1
         branches.append(size)
     branches.sort()
@@ -302,13 +294,3 @@ def classify_component(component: MarkedGraph) -> DynkinType:
     if branches[0] == 1 and branches[1] == 2 and branches[2] in (2, 3, 4):
         return DynkinType("E", branches[2] + 4)
     raise ClassificationError(f"branch profile {tuple(branches)} is not Dynkin")
-
-
-def classify_forest(graph: MarkedGraph) -> DynkinForest:
-    """Classify every component; the empty graph is the empty forest.
-
-    >>> g = extended_diagram(OrbifoldTriple.of(2, 3, 3))
-    >>> str(classify_forest(delete_vertex(g, 5)))
-    'A2 | A2 | A2'
-    """
-    return DynkinForest.of(classify_component(c) for c in connected_components(graph))

@@ -7,10 +7,11 @@ Two kinds of checks live here.
 * Row-by-row reproduction of the deletion/branch tables behind the counts
   for (2,2,r) and the three exceptional triples.  Expected values are
   frozen here — symbolically for the (2,2,r) family, as literal integers
-  for (2,3,3), (2,3,4), (2,3,5) — and computed values come from the live
-  pipeline (graph deletion, forest counts, the triple recursion).  A final
-  synthetic "total" row per table reassembles the recursion from the rows
-  and compares it against the closed form.
+  for (2,3,3), (2,3,4), (2,3,5) — and computed values are the parts of
+  the triple recursion itself, from :func:`fecount.counting.affine_parts`.
+  A final synthetic "total" row per table reassembles those parts with
+  :func:`fecount.counting.affine_total`, the recursion's own assembler, and
+  compares the result against the frozen total.
 
 One golden row carries a caveat: for (2,3,4), the branch row (3,2) is
 sometimes rendered with the misprint 38840 in place of 38880; 38880 is the
@@ -24,14 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import as_natural, binomial, factorial, ratio_pow
-from .counting import CountCache, e_affine, e_dynkin_closed, e_forest
-from .diagrams import (
-    DynkinType,
-    OrbifoldTriple,
-    classify_forest,
-    delete_vertex,
-    extended_diagram,
-)
+from .counting import CountCache, affine_parts, affine_total
+from .diagrams import OrbifoldTriple
 
 
 @dataclass(frozen=True)
@@ -195,7 +190,7 @@ def reproduce_table(triple: OrbifoldTriple, cache: CountCache | None = None) -> 
     (2,3,4), (2,3,5).  Rows come in three groups: one per vertex of the
     extended diagram (forest count after deletion), one per orbifold point
     and depth (binomial times sub-triple count times path count), and one
-    reassembled grand total checked against the closed form.
+    reassembled grand total.
     """
     a = triple.orders
     family_22r = a[:2] == (2, 2) and a[2] >= 2
@@ -205,13 +200,11 @@ def reproduce_table(triple: OrbifoldTriple, cache: CountCache | None = None) -> 
     if cache is None:
         cache = CountCache()
     label = str(triple)
-    graph = extended_diagram(triple)
+    deletions, branches = affine_parts(triple, cache)
     rows: list[TableRow] = []
 
-    deletion_values = []
-    for v in sorted(graph.vertices):
-        computed = e_forest(classify_forest(delete_vertex(graph, v)))
-        deletion_values.append(computed)
+    # Extended diagrams number their vertices 1..mu.
+    for v, computed in enumerate(deletions, start=1):
         if family_22r:
             expected = _expected_deletion_22r(a[2], v)
         else:
@@ -219,37 +212,22 @@ def reproduce_table(triple: OrbifoldTriple, cache: CountCache | None = None) -> 
         rows.append(TableRow(table=label, case=f"v={v}", expected=expected,
                              computed=computed))
 
-    mu = triple.mu
-    branch_total = 0
-    for i, a_i in enumerate(triple.orders, start=1):
-        for j in range(1, a_i):
-            tail_rank = a_i - j - 1
-            tail = 1 if tail_rank == 0 else e_dynkin_closed(DynkinType("A", tail_rank))
-            computed = (
-                binomial(mu - 1, tail_rank)
-                * e_affine(triple.with_order(i - 1, j), cache)
-                * tail
-            )
-            branch_total += a_i * computed
-            if family_22r:
-                expected = _expected_branch_22r(a[2], i, j)
-            else:
-                expected = _BRANCH_GOLD[a][(i, j)]
-            note = _VARIANT_NOTE if (a == (2, 3, 4) and (i, j) == (3, 2)) else ""
-            rows.append(TableRow(table=label, case=f"v=({i},{j})",
-                                 expected=expected, computed=computed, note=note))
+    for i, j, computed in branches:
+        if family_22r:
+            expected = _expected_branch_22r(a[2], i, j)
+        else:
+            expected = _BRANCH_GOLD[a][(i, j)]
+        note = _VARIANT_NOTE if (a == (2, 3, 4) and (i, j) == (3, 2)) else ""
+        rows.append(TableRow(table=label, case=f"v=({i},{j})",
+                             expected=expected, computed=computed, note=note))
 
-    reassembled = as_natural(
-        Fraction(sum(deletion_values)) / triple.chi + branch_total,
-        f"reassembled total for {triple}",
-    )
     if family_22r:
         r = a[2]
         total_expected = 4 * (r + 1) * (r + 2) * (r + 3) * r ** (r + 1)
     else:
         total_expected = _TOTAL_GOLD[a]
     rows.append(TableRow(table=label, case="total", expected=total_expected,
-                         computed=reassembled))
+                         computed=affine_total(triple, deletions, branches)))
     return rows
 
 

@@ -359,7 +359,7 @@ def count_reflection_factorizations(
         level = descended
         elements_seen += len(level)
 
-    log.debug(
+    log.info(
         "%s: %d elements visited below the Coxeter element", rs.dtype, elements_seen
     )
     identity = tuple(range(len(rs)))

@@ -10,7 +10,6 @@ from fecount.arith import (
     as_natural,
     binomial,
     factorial,
-    ipow,
     multinomial,
     parse_decimal,
     ratio_pow,
@@ -23,14 +22,6 @@ def iterated_factorial(n: int) -> int:
     out = 1
     for k in range(2, n + 1):
         out *= k
-    return out
-
-
-def naive_power(base: int, exp: int) -> int:
-    """Independent oracle: repeated multiplication."""
-    out = 1
-    for _ in range(exp):
-        out *= base
     return out
 
 
@@ -74,18 +65,6 @@ def test_multinomial_matches_iterated_binomials():
 @given(st.lists(st.integers(min_value=0, max_value=6), max_size=5))
 def test_multinomial_positive_and_symmetric(parts):
     assert multinomial(parts) == multinomial(sorted(parts)) >= 1
-
-
-def test_ipow_values():
-    assert ipow(5, 5) == 3125
-    assert ipow(7, 0) == 1
-    assert ipow(0, 0) == 1
-    assert ipow(3, 12) == naive_power(3, 12) == 531441
-
-
-def test_ipow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        ipow(2, -1)
 
 
 def test_ratio_pow_handles_boundary_exponents():

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fecount.cli import main
 
 
@@ -85,6 +87,23 @@ class TestAffineCommand:
         assert last_record(out1)["values"] == last_record(out2)["values"]
         assert "hits" in err2  # cache activity is logged when verbose
 
+    def test_poisoned_cache_is_not_written_back(self, capsys, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("2,3,3 -> 99\n")
+        before = path.read_bytes()
+        code, out, _ = run_cli(capsys, "affine", "2", "3", "5", "--cache", str(path))
+        assert code == 1 and last_record(out)["agree"] is False
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("line", ["garbage", "1,1,1 -> -5"])
+    def test_bad_cache_line_is_a_one_line_error(self, capsys, tmp_path, line):
+        path = tmp_path / "cache.txt"
+        path.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "affine", "2", "3", "4", "--cache", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad cache line" in err
+
 
 class TestForestAndOracleCommands:
     def test_forest(self, capsys):
@@ -104,6 +123,25 @@ class TestForestAndOracleCommands:
         monkeypatch.setenv("FEC_ORACLE_BUDGET_MS", "soon")
         code, _, err = run_cli(capsys, "oracle", "A2")
         assert code == 2 and "FEC_ORACLE_BUDGET_MS" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_oracle_budget_env_rejects_nan_and_negative(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("FEC_ORACLE_BUDGET_MS", value)
+        code, out, err = run_cli(capsys, "oracle", "A2")
+        assert code == 2 and out == "" and "FEC_ORACLE_BUDGET_MS" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_oracle_budget_flag_rejects_nan_and_negative(self, capsys, value):
+        code, out, err = run_cli(capsys, "oracle", "A2", "--budget-ms", value)
+        assert code == 2 and out == "" and "--budget-ms" in err
+
+    def test_infinite_budget_means_no_deadline(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "A3", "--budget-ms", "inf")
+        assert code == 0 and last_record(out)["values"]["oracle"] == "16"
+
+    def test_verbose_oracle_reports_elements_visited(self, capsys):
+        code, _, err = run_cli(capsys, "-v", "oracle", "D4")
+        assert code == 0 and "elements visited" in err
 
 
 class TestVerifyCommand:

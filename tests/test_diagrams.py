@@ -1,4 +1,6 @@
 """Diagram shapes, vertex deletion and forest classification."""
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +13,6 @@ from fecount.diagrams import (
     MarkedGraph,
     OrbifoldTriple,
     classify_forest,
-    connected_components,
     delete_vertex,
     dynkin_diagram,
     extended_diagram,
@@ -24,6 +25,12 @@ def T(tok):
 
 def forest(*tokens):
     return DynkinForest.of(T(t) for t in tokens)
+
+
+def degrees(g):
+    """Sorted vertex degrees, counted from the edge set."""
+    ends = Counter(v for e in g.edges for v in e)
+    return sorted(ends[v] for v in g.vertices)
 
 
 class TestDynkinType:
@@ -76,8 +83,7 @@ class TestExtendedDiagram:
     def test_exceptional_shapes(self):
         g = extended_diagram(OrbifoldTriple.of(2, 3, 3))
         assert len(g) == 7 and len(g.edges) == 6
-        degrees = sorted(len(g.neighbors(v)) for v in g.vertices)
-        assert degrees == [1, 1, 1, 2, 2, 2, 3]
+        assert degrees(g) == [1, 1, 1, 2, 2, 2, 3]
 
     def test_smallest_case_is_two_vertices(self):
         g = extended_diagram(OrbifoldTriple.of(1, 1, 1))
@@ -86,14 +92,14 @@ class TestExtendedDiagram:
     def test_star_for_222(self):
         g = extended_diagram(OrbifoldTriple.of(2, 2, 2))
         assert len(g) == 5
-        assert sorted(len(g.neighbors(v)) for v in g.vertices) == [1, 1, 1, 1, 4]
+        assert degrees(g) == [1, 1, 1, 1, 4]
 
     @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (2, 5), (4, 4), (1, 7)])
     def test_1pq_is_a_cycle(self, p, q):
         g = extended_diagram(OrbifoldTriple.of(1, p, q))
         assert len(g) == p + q
         assert len(g.edges) == len(g)  # every vertex has degree 2
-        assert all(len(g.neighbors(v)) == 2 for v in g.vertices)
+        assert degrees(g) == [2] * len(g)
 
     def test_vertex_count_is_mu(self):
         for t in admissible_triples(12):
@@ -103,8 +109,6 @@ class TestExtendedDiagram:
 class TestDeleteAndClassify:
     def test_e6_affine_minus_center(self):
         g = extended_diagram(OrbifoldTriple.of(2, 3, 3))
-        parts = connected_components(delete_vertex(g, 5))
-        assert sorted(len(c) for c in parts) == [2, 2, 2]
         assert classify_forest(delete_vertex(g, 5)) == forest("A2", "A2", "A2")
 
     def test_cycle_minus_any_vertex_is_path(self):
@@ -204,8 +208,31 @@ class TestDynkinDiagram:
     )
     def test_shapes(self, tok, degree_profile):
         g = dynkin_diagram(T(tok))
-        assert sorted(len(g.neighbors(v)) for v in g.vertices) == degree_profile
+        assert degrees(g) == degree_profile
 
     @pytest.mark.parametrize("tok", ["A1", "A5", "D4", "D7", "E6", "E7", "E8"])
     def test_classification_is_inverse(self, tok):
         assert classify_forest(dynkin_diagram(T(tok))) == forest(tok)
+
+
+DYNKIN_TYPES = (
+    [DynkinType("A", n) for n in range(1, 31)]
+    + [DynkinType("D", n) for n in range(4, 31)]
+    + [DynkinType("E", n) for n in (6, 7, 8)]
+)
+
+
+@given(st.lists(st.sampled_from(DYNKIN_TYPES), max_size=6), st.randoms())
+def test_classify_forest_recovers_shuffled_disjoint_union(types, rnd):
+    """A disjoint union of Dynkin diagrams, relabelled at random, classifies
+    back to exactly its forest."""
+    labels = list(range(sum(t.rank for t in types)))
+    rnd.shuffle(labels)
+    vertices, edges, offset = [], [], 0
+    for t in types:
+        g = dynkin_diagram(t)
+        relabel = {v: labels[offset + v - 1] for v in g.vertices}
+        vertices += relabel.values()
+        edges += [(relabel[u], relabel[v]) for u, v in g.edges]
+        offset += t.rank
+    assert classify_forest(MarkedGraph.of(vertices, edges)) == DynkinForest.of(types)
