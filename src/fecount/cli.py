@@ -133,7 +133,11 @@ def cmd_affine(args: argparse.Namespace) -> int:
         record["agree"] = agree
     _emit(record, (time.perf_counter() - started) * 1000)
     if args.cache and agree is not False:
-        save_cache(cache, args.cache)
+        try:
+            save_cache(cache, args.cache)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise CliError(f"cannot write cache file: {args.cache}: {reason}") from exc
         log.info("saved %d counts to %s", len(cache), args.cache)
     return 0 if agree in (None, True) else 1
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -139,9 +140,9 @@ def e_dynkin_recursive(dtype: DynkinType) -> int:
 class CountCache:
     """Memo for the triple recursion: one count per orbifold triple.
 
-    Reads are lock-free (a plain dict lookup); writes are serialized, so
-    concurrent use is safe and always yields the same values as a fresh
-    cache.  ``hits``/``misses`` count lookups.
+    Reads are lock-free (a plain dict lookup); writes and the ``hits``/
+    ``misses`` lookup counters are serialized, so concurrent use is safe,
+    always yields the same values as a fresh cache, and counts every lookup.
     """
 
     def __init__(self) -> None:
@@ -152,11 +153,12 @@ class CountCache:
 
     def get_affine(self, triple: OrbifoldTriple) -> int | None:
         value = self._affine.get(triple)
-        if value is None:
-            self.misses += 1
-        else:
+        with self._lock:
+            if value is None:
+                self.misses += 1
+                return None
             self.hits += 1
-            log.debug("cache hit: %s -> %d", triple, value)
+        log.debug("cache hit: %s -> %d", triple, value)
         return value
 
     def put_affine(self, triple: OrbifoldTriple, value: int) -> None:
@@ -171,30 +173,51 @@ class CountCache:
 
 
 def save_cache(cache: CountCache, path: str | Path) -> None:
-    """Write triple counts as lines "a1,a2,a3 -> count"."""
-    lines = [
-        "{},{},{} -> {}".format(*t.orders, render_decimal(v))
-        for t, v in cache.items()
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    """Write triple counts as lines "a1,a2,a3 -> count".
+
+    The lines go to a temporary file in the target's directory, which then
+    replaces the target in one step, so a failed or concurrent write never
+    leaves a partial file behind.
+    """
+    text = "".join(
+        "{},{},{} -> {}\n".format(*t.orders, render_decimal(v)) for t, v in cache.items()
+    )
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_cache(path: str | Path) -> CountCache:
     """Read a cache file written by :func:`save_cache`.
 
-    Blank lines and lines starting with '#' are ignored.
+    Blank lines and lines starting with '#' are ignored.  A key must be a
+    canonical (ascending) admissible triple, and a triple listed twice must
+    have the same count both times; anything else raises ValueError.
     """
-    cache = CountCache()
+    counts: dict[OrbifoldTriple, tuple[int, int]] = {}  # count, first line
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             key, _, value = line.partition("->")
-            a1, a2, a3 = (int(x) for x in key.strip().split(","))
-            cache.put_affine(OrbifoldTriple.of(a1, a2, a3), parse_decimal(value))
+            triple = OrbifoldTriple(tuple(int(x) for x in key.strip().split(",")))
+            count = parse_decimal(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad cache line {raw!r}") from exc
+        first, first_lineno = counts.setdefault(triple, (count, lineno))
+        if first != count:
+            raise ValueError(
+                f"{path}:{lineno}: count for {triple} conflicts with line {first_lineno}"
+            )
+    cache = CountCache()
+    for triple, (count, _) in counts.items():
+        cache.put_affine(triple, count)
     return cache
 
 

@@ -117,7 +117,7 @@ class OrbifoldTriple:
     def chi(self) -> Fraction:
         """Orbifold Euler number 1/a1 + 1/a2 + 1/a3 - 1."""
         a1, a2, a3 = self.orders
-        return Fraction(1, a1) + Fraction(1, a2) + Fraction(1, a3) - 1
+        return Fraction(a2 * a3 + a1 * a3 + a1 * a2 - a1 * a2 * a3, a1 * a2 * a3)
 
     @property
     def mu(self) -> int:

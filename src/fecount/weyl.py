@@ -13,17 +13,24 @@ Representations:
   rational coordinates in the classical models (A_n inside Q^{n+1} as
   e_i - e_{i+1} differences, D_n as +-e_i +- e_j, the E series inside the
   even-coordinate Q^8 model with half-integer entries).
-* A group element is the permutation it induces on the root list; the
-  reflection representation is faithful, so the permutation is the element.
-* Absolute (reflection) length is rank(M - I) for the matrix M of the
-  element in the simple-root basis, computed by exact rational elimination.
+* A group element is given to the public functions as the permutation it
+  induces on the root list.  The walk keys an element more compactly, by
+  the root indices of its n simple-root images: the simple roots are a
+  basis, so the images determine the element, and they are the columns of
+  its integer matrix M in the simple-root basis.
+* Absolute (reflection) length is rank(M - I), the codimension of the fixed
+  space ker(M - I).  The kernel comes from fraction-free integer
+  elimination that divides each row by the gcd of its entries, so it is
+  exact with no floating point and no Fraction.
 
 The factorization count is a descent through the absolute order: a
 reflection t shortens w exactly when its root lies in the moved space
-im(w - 1), equivalently is orthogonal to the fixed space ker(w - 1); the
-walk from the Coxeter element to the identity, one reflection at a time,
-is tallied level by level with the level dictionaries acting as the memo of
-the usual recursive formulation.
+im(w - 1), equivalently is orthogonal to the fixed space ker(w - 1)
+(Carter's lemma).  The walk goes from the Coxeter element to the identity,
+one reflection at a time, and is tallied level by level, with the level
+dictionaries acting as the memo of the usual recursive formulation.  A
+reflection below w' <=_T w is also below w, so each element inherits its
+parent's shortening reflections as candidates and tests only those.
 """
 from __future__ import annotations
 
@@ -32,6 +39,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .counting import coxeter_number
@@ -242,52 +250,50 @@ def matrix_in_root_basis(rs: RootSystem, g: GroupElement) -> list[list[int]]:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form plus pivot column list, exact over Q."""
-    rows = [row[:] for row in rows]
-    m = len(rows)
-    width = len(rows[0]) if rows else 0
+def _kernel_basis(matrix: list[list[int]]) -> list[tuple[int, ...]]:
+    """Integer basis of the rational kernel of a square integer matrix.
+
+    Fraction-free Gauss-Jordan elimination: a row is cleared against the
+    pivot row by integer cross-multiplication and then divided by the gcd
+    of its entries, so the entries stay small and exact.  Each free column
+    gives one primitive integer kernel vector.
+
+    >>> _kernel_basis([[1, 2], [2, 4]])
+    [(-2, 1)]
+    """
+    n = len(matrix)
+    rows = [row[:] for row in matrix]
     pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
+    for c in range(n):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, n) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(n):
+            f = rows[i][c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(rows[i], prow)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
-
-
-def _kernel_basis(matrix: list[list[int]]) -> list[tuple[int, ...]]:
-    """Integer basis of the rational kernel of a square integer matrix."""
-    n = len(matrix)
-    rows, pivots = _rref([[Fraction(x) for x in row] for row in matrix])
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(n) if c not in pivots):
+        scale = math.lcm(*(rows[r][pc] for r, pc in enumerate(pivots) if rows[r][fc]))
+        vec = [0] * n
+        vec[fc] = scale
         for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        scale = 1
-        for x in vec:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        basis.append(tuple(int(x * scale) for x in vec))
+            vec[pc] = -rows[r][fc] * scale // rows[r][pc]
+        g = math.gcd(*vec)
+        basis.append(tuple(x // g for x in vec))
     return basis
 
 
 def absolute_length(rs: RootSystem, g: GroupElement) -> int:
     """Reflection length: rank of (M - I) over Q, i.e. codimension of the
-    fixed space.  Exact rational elimination, no floating point.
+    fixed space.  Exact integer elimination, no floating point.
 
     >>> rs = build_root_system(DynkinType("A", 3))
     >>> absolute_length(rs, coxeter_element(rs))
@@ -312,8 +318,10 @@ def count_reflection_factorizations(
     Starting from the Coxeter element, repeatedly multiply by every
     reflection that shortens the element, accumulating multiplicities per
     element in a level dictionary; after rank steps all mass sits on the
-    identity and its multiplicity is the answer.  ``budget_ms`` aborts the
-    walk with :class:`OracleBudgetExceeded` when exceeded.
+    identity and its multiplicity is the answer.  Only the reflections that
+    shortened the parent are tested at a child.  ``budget_ms`` aborts the
+    walk with :class:`OracleBudgetExceeded`, whose message gives the
+    absolute length reached and the elements seen so far.
 
     >>> rs = build_root_system(DynkinType("A", 2))
     >>> count_reflection_factorizations(rs)
@@ -336,32 +344,44 @@ def count_reflection_factorizations(
 
     simple = rs.simple_roots
     coords = rs.coords
-    level: dict[tuple[int, ...], int] = {top.perm: 1}
+    # An element is keyed by the root indices of its simple-root images and
+    # carries [ways, candidates]: the reflections below its parent, a superset
+    # of the reflections below it.
+    level: dict[tuple[int, ...], list] = {
+        tuple(top.perm[s] for s in simple): [1, reflections]
+    }
     elements_seen = 1
     for length in range(n, 0, -1):
-        descended: dict[tuple[int, ...], int] = {}
-        for perm, ways in level.items():
+        descended: dict[tuple[int, ...], list] = {}
+        for key, (ways, candidates) in level.items():
             if deadline is not None and time.monotonic() > deadline:
                 raise OracleBudgetExceeded(
-                    f"factorization count for {rs.dtype} exceeded {budget_ms} ms"
+                    f"factorization count for {rs.dtype} exceeded {budget_ms} ms "
+                    f"at absolute length {length} with "
+                    f"{elements_seen + len(descended)} elements seen"
                 )
-            m_minus_i = [[coords[perm[simple[j]]][i] for j in range(n)] for i in range(n)]
+            m_minus_i = [[coords[k][i] for k in key] for i in range(n)]
             for i in range(n):
                 m_minus_i[i][i] -= 1
             fixed = _kernel_basis(m_minus_i)
             assert len(fixed) == n - length  # descent keeps lengths exact
-            for refl_perm, paired in reflections:
-                if all(
-                    sum(p * f for p, f in zip(paired, vec)) == 0 for vec in fixed
-                ):
-                    child = tuple(refl_perm[i] for i in perm)
-                    descended[child] = descended.get(child, 0) + ways
+            below = [
+                refl
+                for refl in candidates
+                if not any(sum(map(mul, refl[1], vec)) for vec in fixed)
+            ]
+            for refl_perm, _ in below:
+                child = tuple(refl_perm[k] for k in key)
+                entry = descended.get(child)
+                if entry is None:
+                    descended[child] = [ways, below]
+                else:
+                    entry[0] += ways
         level = descended
         elements_seen += len(level)
 
     log.info(
         "%s: %d elements visited below the Coxeter element", rs.dtype, elements_seen
     )
-    identity = tuple(range(len(rs)))
-    assert set(level) == {identity}
-    return level[identity]
+    assert set(level) == {simple}
+    return level[simple][0]

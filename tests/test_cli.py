@@ -95,6 +95,24 @@ class TestAffineCommand:
         assert code == 1 and last_record(out)["agree"] is False
         assert path.read_bytes() == before
 
+    def test_non_canonical_cache_key_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("2,3,3 -> 1224720\n3,2,3 -> 7\n")
+        before = path.read_bytes()
+        code, out, err = run_cli(capsys, "affine", "2", "3", "3", "--method", "recursive",
+                                 "--cache", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert path.read_bytes() == before
+
+    def test_unwritable_cache_is_a_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "missing_dir" / "f.txt"
+        code, out, err = run_cli(capsys, "affine", "2", "3", "4", "--cache", str(path))
+        assert code == 2 and last_record(out)["agree"] is True
+        assert err.startswith("error: cannot write cache file: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not path.parent.exists()
+
     @pytest.mark.parametrize("line", ["garbage", "1,1,1 -> -5"])
     def test_bad_cache_line_is_a_one_line_error(self, capsys, tmp_path, line):
         path = tmp_path / "cache.txt"

@@ -1,10 +1,16 @@
 """Counting engine: closed forms, recursions, LL degrees, cache behaviour."""
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fecount import counting
 from fecount.arith import NonIntegralError, factorial
 from fecount.counting import (
     CountCache,
@@ -193,6 +199,86 @@ class TestCache:
         path.write_text("2;3;3 -> 7\n")
         with pytest.raises(ValueError, match="bad cache line"):
             load_cache(path)
+
+    @pytest.mark.parametrize("text", ["3,2,3 -> 7\n", "2,3,3 -> 1224720\n3,2,3 -> 7\n"])
+    def test_load_rejects_non_canonical_keys(self, tmp_path, text):
+        path = tmp_path / "counts.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad cache line '3,2,3 -> 7'"):
+            load_cache(path)
+
+    def test_load_rejects_conflicting_duplicates(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text("2,3,3 -> 1224720\n# again\n2,3,3 -> 1224720\n2,3,3 -> 7\n")
+        with pytest.raises(ValueError, match=r":4: count for \(2,3,3\) conflicts with line 1"):
+            load_cache(path)
+        path.write_text("2,3,3 -> 1224720\n2,3,3 -> 1224720\n")
+        assert load_cache(path).items() == [(OrbifoldTriple.of(2, 3, 3), 1224720)]
+
+    def test_failed_save_leaves_old_file_and_no_temp_file(self, tmp_path):
+        """A write that fails partway (here: past a 64-byte file-size limit
+        set in a child process) must not touch the existing file."""
+        pytest.importorskip("resource")
+        path = tmp_path / "counts.txt"
+        path.write_text("2,3,3 -> 1224720\n")
+        before = path.read_bytes()
+        child = (
+            "import resource, signal, sys\n"
+            "from fecount.counting import CountCache, admissible_triples, e_affine, save_cache\n"
+            "cache = CountCache()\n"
+            "for t in admissible_triples(12):\n"
+            "    e_affine(t, cache)\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE,\n"
+            "                   (64, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "try:\n"
+            "    save_cache(cache, sys.argv[1])\n"
+            "except OSError as exc:\n"
+            "    print('failed', exc.errno)\n"
+        )
+        src = str(Path(counting.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", child, str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("failed")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["counts.txt"]
+
+    def test_lookup_counters_are_exact_under_threads(self):
+        class YieldingInt(int):
+            """An int whose addition releases the GIL, so an unlocked
+            read-modify-write of a counter loses updates."""
+
+            def __add__(self, other):
+                time.sleep(0)
+                return YieldingInt(int(self) + other)
+
+        present, absent = OrbifoldTriple.of(1, 1, 1), OrbifoldTriple.of(1, 1, 2)
+        cache = CountCache()
+        cache.put_affine(present, 1)
+        cache.hits = cache.misses = YieldingInt(0)
+        rounds, workers = 300, 4
+
+        def worker():
+            for _ in range(rounds):
+                cache.get_affine(present)
+                cache.get_affine(absent)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(workers)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert cache.hits + cache.misses == 2 * rounds * workers
+        assert cache.hits == cache.misses == rounds * workers
 
     def test_concurrent_use_is_deterministic(self):
         cache = CountCache()

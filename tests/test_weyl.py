@@ -1,8 +1,12 @@
 """Reflection-group brute force: roots, Coxeter elements, chain counts."""
 import itertools
 import logging
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fecount.counting import coxeter_number, e_dynkin_closed
 from fecount.diagrams import DynkinType
@@ -10,6 +14,7 @@ from fecount.weyl import (
     GroupElement,
     OracleBudgetExceeded,
     UnsupportedRankError,
+    _kernel_basis,
     absolute_length,
     build_root_system,
     compose,
@@ -127,6 +132,43 @@ class TestAbsoluteLength:
             g = h
 
 
+def fraction_rank(matrix) -> int:
+    """Rank over Q by plain Fraction row reduction."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+square_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+class TestKernelBasis:
+    @given(square_matrices)
+    def test_integer_kernel_basis(self, matrix):
+        n = len(matrix)
+        basis = _kernel_basis(matrix)
+        assert len(basis) == n - fraction_rank(matrix)
+        for vec in basis:
+            assert len(vec) == n and all(isinstance(x, int) for x in vec)
+            assert any(vec)
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in matrix)
+        # the vectors are independent: stacked as rows they have full rank
+        assert not basis or fraction_rank(basis) == len(basis)
+
+
 class TestFactorizationCounts:
     @pytest.mark.parametrize("tok,expected", [("A1", 1), ("A2", 3), ("A3", 16)])
     def test_matches_exhaustive_enumeration(self, tok, expected):
@@ -193,8 +235,11 @@ class TestFactorizationCounts:
 
     def test_budget_is_enforced(self):
         rs = build_root_system(T("E6"))
-        with pytest.raises(OracleBudgetExceeded):
+        with pytest.raises(OracleBudgetExceeded) as info:
             count_reflection_factorizations(rs, budget_ms=0.0)
+        # a zero budget expires at the first element: the Coxeter element
+        assert "absolute length 6" in str(info.value)
+        assert "with 1 elements seen" in str(info.value)
 
     def test_visited_element_count_is_logged(self, caplog):
         rs = build_root_system(T("A3"))
@@ -202,3 +247,16 @@ class TestFactorizationCounts:
             count_reflection_factorizations(rs)
         notes = [r for r in caplog.records if "elements visited" in r.message]
         assert notes, "expected a debug record with the memo size"
+
+    @pytest.mark.parametrize("tok,catalan", [("A4", 42), ("D5", 182), ("E6", 833)])
+    def test_visited_elements_are_the_noncrossing_partitions(self, caplog, tok, catalan):
+        """The walk visits each element of NC(W) once, |NC(W)| = Catalan(W)."""
+        rs = build_root_system(T(tok))
+        with caplog.at_level(logging.INFO, logger="fecount.weyl"):
+            count_reflection_factorizations(rs)
+        visited = [
+            int(m.group(1))
+            for r in caplog.records
+            if (m := re.search(r"(\d+) elements visited", r.getMessage()))
+        ]
+        assert visited == [catalan]
