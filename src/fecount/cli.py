@@ -112,12 +112,14 @@ def cmd_affine(args: argparse.Namespace) -> int:
                        "use --method closed/recursive/degll/both/all")
     triple = _parse_triple(args.orders)
     cache = CountCache()
+    loaded = None  # counts read from the cache file, if it exists
     if args.cache and os.path.exists(args.cache):
         try:
             cache = load_cache(args.cache)
         except (ValueError, OSError) as exc:
             raise CliError(f"cannot read cache file: {exc}") from exc
-        log.info("loaded %d cached counts from %s", len(cache), args.cache)
+        loaded = len(cache)
+        log.info("loaded %d cached counts from %s", loaded, args.cache)
     started = time.perf_counter()
     values: dict[str, str] = {}
     if args.method in ("closed", "both", "all"):
@@ -132,7 +134,8 @@ def cmd_affine(args: argparse.Namespace) -> int:
     if agree is not None:
         record["agree"] = agree
     _emit(record, (time.perf_counter() - started) * 1000)
-    if args.cache and agree is not False:
+    # A run that added no count leaves an existing file untouched.
+    if args.cache and agree is not False and len(cache) != loaded:
         try:
             save_cache(cache, args.cache)
         except OSError as exc:
@@ -194,9 +197,16 @@ def _cross_check_records(max_mu: int) -> list[dict]:
     return records
 
 
+def _require_checks(records: list, suite: str, bound: str) -> None:
+    """An empty sweep checked nothing, so it must not pass."""
+    if not records:
+        raise CliError(f"verify {suite} {bound} selects no checks")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "hurwitz":
         reports = verify.hurwitz_sweep(max_pq=args.max, max_r=args.max)
+        _require_checks(reports, "hurwitz", f"--max {args.max}")
         ok = all(r.holds for r in reports)
         if args.format == "md":
             print(verify.identities_to_markdown(reports))
@@ -213,6 +223,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 [verify.row_to_record(r) for r in rows]))
     else:
         records = _cross_check_records(args.max_mu)
+        _require_checks(records, "cross", f"--max-mu {args.max_mu}")
         ok = all(r["agree"] for r in records)
         if args.format == "md":
             lines = ["| triple | closed | recursive | degll | agree |",

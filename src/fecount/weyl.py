@@ -8,16 +8,24 @@ factorizations directly, with no input from the closed formulas.
 
 Representations:
 
-* A root is kept in two coordinate systems: integer coordinates over the
-  simple roots (used for all linear algebra, always exact) and ambient
-  rational coordinates in the classical models (A_n inside Q^{n+1} as
-  e_i - e_{i+1} differences, D_n as +-e_i +- e_j, the E series inside the
-  even-coordinate Q^8 model with half-integer entries).
+* A root is kept by its integer coordinates over the simple roots, used for
+  all linear algebra and always exact.  The roots are closed up from the
+  simple ones by the simple reflections, and the closure records each
+  simple reflection s_i as the permutation it induces on the root list.
+* Ambient rational coordinates in the classical models (A_n inside Q^{n+1}
+  as e_i - e_{i+1} differences, D_n as +-e_i +- e_j, the E series inside
+  the even-coordinate Q^8 model with half-integer entries) serve as the
+  model check: the Gram matrix of the n ambient simple roots must equal the
+  Cartan matrix.  The ambient coordinates of all roots are computed only
+  when ``RootSystem.roots`` is first read; nothing in the count reads them.
 * A group element is given to the public functions as the permutation it
-  induces on the root list.  The walk keys an element more compactly, by
-  the root indices of its n simple-root images: the simple roots are a
-  basis, so the images determine the element, and they are the columns of
-  its integer matrix M in the simple-root basis.
+  induces on the root list.  Every reflection comes from the simple ones by
+  conjugation, s_{s_i(b)} = s_i s_b s_i, walking up the positive roots by
+  height, so it is exact integer permutation composition; s_{-b} = s_b.
+  The walk keys an element more compactly, by the root indices of its n
+  simple-root images: the simple roots are a basis, so the images determine
+  the element, and they are the columns of its integer matrix M in the
+  simple-root basis.
 * Absolute (reflection) length is rank(M - I), the codimension of the fixed
   space ker(M - I).  The kernel comes from fraction-free integer
   elimination that divides each row by the gcd of its entries, so it is
@@ -38,6 +46,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -77,14 +86,50 @@ class RootSystem:
 
     dtype: DynkinType
     rank: int
-    roots: tuple[tuple[Fraction, ...], ...]       # ambient coordinates
-    simple_roots: tuple[int, ...]                 # indices into roots
-    positive_roots: tuple[int, ...]               # indices into roots
-    coords: tuple[tuple[int, ...], ...]           # simple-root-basis coordinates
+    simple_roots: tuple[int, ...]                 # indices into coords
+    positive_roots: tuple[int, ...]               # indices into coords
+    coords: tuple[tuple[int, ...], ...]           # simple-root-basis coordinates, sorted
     cartan: tuple[tuple[int, ...], ...]
+    simple_reflections: tuple[tuple[int, ...], ...]  # s_i as a permutation of coords
 
     def __len__(self) -> int:
-        return len(self.roots)
+        return len(self.coords)
+
+    @cached_property
+    def roots(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Ambient coordinates of every root, in the order of ``coords``."""
+        ambient = _ambient_simple_roots(self.dtype)
+        dim = len(ambient[0])
+        return tuple(
+            tuple(
+                Fraction(sum(c * ambient[i][k] for i, c in enumerate(vec)))
+                for k in range(dim)
+            )
+            for vec in self.coords
+        )
+
+    @cached_property
+    def reflections(self) -> tuple[tuple[int, ...], ...]:
+        """s_b as a permutation of coords, for every root index b.
+
+        Built up the positive roots by height: a non-simple positive root g
+        has a simple reflection s_i taking it to a lower positive root b, and
+        then s_g = s_i s_b s_i.  ``coords`` is sorted and closed under
+        negation, so -coords[k] is coords[-1 - k], and s_{-b} = s_b.
+        """
+        coords = self.coords
+        height = [sum(vec) for vec in coords]
+        table: list = [None] * len(coords)
+        for k, s in zip(self.simple_roots, self.simple_reflections):
+            table[k] = s
+        for g in sorted(self.positive_roots, key=height.__getitem__):
+            if table[g] is None:
+                s = next(s for s in self.simple_reflections if height[s[g]] < height[g])
+                s_b = table[s[g]]
+                table[g] = tuple(s[s_b[k]] for k in s)
+        for g in self.positive_roots:
+            table[-1 - g] = table[g]
+        return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -97,22 +142,23 @@ class GroupElement:
         return all(p == i for i, p in enumerate(self.perm))
 
 
-def _ambient_simple_roots(dtype: DynkinType) -> list[tuple[Fraction, ...]]:
+def _ambient_simple_roots(dtype: DynkinType) -> list[tuple[int | Fraction, ...]]:
+    """The simple roots in the classical model.  Entries are ints, apart from
+    the half-integers of the E series' first simple root."""
     n = dtype.rank
     if dtype.family == "A":
         return [
-            tuple(Fraction(1 if k == i else (-1 if k == i + 1 else 0)) for k in range(n + 1))
+            tuple(1 if k == i else (-1 if k == i + 1 else 0) for k in range(n + 1))
             for i in range(n)
         ]
     if dtype.family == "D":
         simples = [
-            tuple(Fraction(1 if k == i else (-1 if k == i + 1 else 0)) for k in range(n))
+            tuple(1 if k == i else (-1 if k == i + 1 else 0) for k in range(n))
             for i in range(n - 1)
         ]
-        simples.append(tuple(Fraction(1 if k in (n - 2, n - 1) else 0) for k in range(n)))
+        simples.append(tuple(1 if k in (n - 2, n - 1) else 0 for k in range(n)))
         return simples
-    chain = [tuple(Fraction(x) for x in v) for v in _E_CHAIN[: n - 1]]
-    return chain + [tuple(Fraction(x) for x in _E_BRANCH)]
+    return _E_CHAIN[: n - 1] + [_E_BRANCH]
 
 
 def _cartan_matrix(dtype: DynkinType) -> tuple[tuple[int, ...], ...]:
@@ -132,7 +178,8 @@ _EXPECTED_ROOT_COUNT = {
 
 
 def build_root_system(dtype: DynkinType) -> RootSystem:
-    """Generate all roots from the simple ones by reflection closure.
+    """Generate all roots from the simple ones by reflection closure, and
+    record each simple reflection as a permutation of the sorted root list.
 
     >>> len(build_root_system(DynkinType("A", 2)))
     6
@@ -143,62 +190,46 @@ def build_root_system(dtype: DynkinType) -> RootSystem:
             f"brute force supports rank <= {MAX_ORACLE_RANK}, got {dtype}"
         )
     cartan = _cartan_matrix(dtype)
+    nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
 
+    # Each root of the closure maps to its n images s_1(b), ..., s_n(b).
     simple_coords = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    closure = set(simple_coords)
+    closure: dict[tuple[int, ...], list] = dict.fromkeys(simple_coords)
     frontier = list(simple_coords)
     while frontier:
         fresh = []
         for beta in frontier:
-            for i in range(n):
-                pairing = sum(cartan[i][j] * beta[j] for j in range(n))
-                image = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
+            images = []
+            for i, row in enumerate(nonzero):
+                pairing = sum(c * beta[j] for j, c in row)
+                image = beta[:i] + (beta[i] - pairing,) + beta[i + 1:] if pairing else beta
+                images.append(image)
                 if image not in closure:
-                    closure.add(image)
+                    closure[image] = None
                     fresh.append(image)
+            closure[beta] = images
         frontier = fresh
     coords = tuple(sorted(closure))
     assert len(coords) == _EXPECTED_ROOT_COUNT[dtype.family](n)
 
     ambient_simple = _ambient_simple_roots(dtype)
     # The ambient model must present the same diagram as the Cartan matrix.
-    dim = len(ambient_simple[0])
     for i in range(n):
         for j in range(n):
-            gram = sum(ambient_simple[i][k] * ambient_simple[j][k] for k in range(dim))
+            gram = sum(map(mul, ambient_simple[i], ambient_simple[j]))
             assert gram == cartan[i][j]
-    roots = tuple(
-        tuple(
-            sum(c * ambient_simple[i][k] for i, c in enumerate(vec))
-            for k in range(dim)
-        )
-        for vec in coords
-    )
 
     index = {vec: i for i, vec in enumerate(coords)}
-    simple_idx = tuple(index[s] for s in simple_coords)
-    positive_idx = tuple(i for i, vec in enumerate(coords) if all(c >= 0 for c in vec))
+    images = [[index[image] for image in closure[vec]] for vec in coords]
     return RootSystem(
         dtype=dtype,
         rank=n,
-        roots=roots,
-        simple_roots=simple_idx,
-        positive_roots=positive_idx,
+        simple_roots=tuple(index[s] for s in simple_coords),
+        positive_roots=tuple(i for i, vec in enumerate(coords) if all(c >= 0 for c in vec)),
         coords=coords,
         cartan=cartan,
+        simple_reflections=tuple(zip(*images)),
     )
-
-
-def _reflection_perm(rs: RootSystem, root_coords: tuple[int, ...]) -> tuple[int, ...]:
-    """Permutation of the root list induced by reflecting in one root."""
-    n = rs.rank
-    paired = [sum(rs.cartan[i][j] * root_coords[j] for j in range(n)) for i in range(n)]
-    index = {vec: i for i, vec in enumerate(rs.coords)}
-    out = []
-    for beta in rs.coords:
-        s = sum(paired[j] * beta[j] for j in range(n))
-        out.append(index[tuple(beta[j] - s * root_coords[j] for j in range(n))])
-    return tuple(out)
 
 
 def identity_element(rs: RootSystem) -> GroupElement:
@@ -212,7 +243,7 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def reflection(rs: RootSystem, root_index: int) -> GroupElement:
     """The reflection in the hyperplane of the given root."""
-    return GroupElement(_reflection_perm(rs, rs.coords[root_index]))
+    return GroupElement(rs.reflections[root_index])
 
 
 def coxeter_element(rs: RootSystem, index_order: Sequence[int] | None = None) -> GroupElement:
@@ -228,7 +259,7 @@ def coxeter_element(rs: RootSystem, index_order: Sequence[int] | None = None) ->
         raise ValueError(f"index_order must permute 0..{rs.rank - 1}, got {order}")
     element = identity_element(rs)
     for i in order:
-        element = compose(element, reflection(rs, rs.simple_roots[i]))
+        element = compose(element, GroupElement(rs.simple_reflections[i]))
     assert element_order(rs, element) == coxeter_number(rs.dtype)
     return element
 
@@ -340,7 +371,7 @@ def count_reflection_factorizations(
         paired = tuple(
             sum(rs.cartan[i][j] * rho[j] for j in range(n)) for i in range(n)
         )
-        reflections.append((_reflection_perm(rs, rho), paired))
+        reflections.append((rs.reflections[idx], paired))
 
     simple = rs.simple_roots
     coords = rs.coords

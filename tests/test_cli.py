@@ -1,5 +1,6 @@
 """Command-line behaviour: output shape, exit codes, cache, determinism."""
 import json
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,10 @@ def run_cli(capsys, *argv):
 
 def last_record(out):
     return json.loads(out.strip().splitlines()[-1])
+
+
+def scrub_elapsed(out):
+    return re.sub(r', "elapsed_ms": [0-9.e+-]+}', "}", out)
 
 
 class TestDynkinCommand:
@@ -113,6 +118,27 @@ class TestAffineCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not path.parent.exists()
 
+    def test_cache_run_that_adds_nothing_leaves_the_file_untouched(self, capsys, tmp_path):
+        path = tmp_path / "cache.txt"
+        argv = ("affine", "2", "3", "3", "--method", "all", "--cache", str(path))
+        code1, out1, _ = run_cli(capsys, *argv)
+        before, stat = path.read_bytes(), path.stat()
+        code2, out2, _ = run_cli(capsys, *argv)
+        after = path.stat()
+        assert code1 == code2 == 0
+        assert scrub_elapsed(out1) == scrub_elapsed(out2)
+        assert path.read_bytes() == before
+        assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+
+    def test_cache_run_that_adds_a_count_rewrites_the_file(self, capsys, tmp_path):
+        path = tmp_path / "cache.txt"
+        run_cli(capsys, "affine", "2", "3", "3", "--cache", str(path))
+        before, ino = path.read_text(), path.stat().st_ino
+        code, _, _ = run_cli(capsys, "affine", "2", "3", "4", "--cache", str(path))
+        assert code == 0 and path.stat().st_ino != ino
+        lines = set(path.read_text().splitlines())
+        assert set(before.splitlines()) < lines and "2,3,4 -> 46448640" in lines
+
     @pytest.mark.parametrize("line", ["garbage", "1,1,1 -> -5"])
     def test_bad_cache_line_is_a_one_line_error(self, capsys, tmp_path, line):
         path = tmp_path / "cache.txt"
@@ -183,6 +209,16 @@ class TestVerifyCommand:
         assert code == 0 and len(records) == 62
         assert all(r["agree"] for r in records)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("hurwitz", "--max", "0"), ("hurwitz", "--max", "-3"), ("cross", "--max-mu", "0")],
+    )
+    def test_empty_sweep_is_an_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "selects no checks" in err
+
     def test_markdown_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "hurwitz", "--max", "2",
                                "--format", "md")
@@ -216,15 +252,10 @@ class TestTableCommand:
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes_apart_from_timing(self, capsys):
-        import re
-
-        def scrub(out):
-            return re.sub(r', "elapsed_ms": [0-9.e+-]+}', "}", out)
-
         _, out1, _ = run_cli(capsys, "affine", "2", "3", "4", "--method", "all")
         _, out2, _ = run_cli(capsys, "affine", "2", "3", "4", "--method", "all")
-        assert scrub(out1) == scrub(out2)
-        assert out1 != scrub(out1)  # the timing field really was present
+        assert scrub_elapsed(out1) == scrub_elapsed(out2)
+        assert out1 != scrub_elapsed(out1)  # the timing field really was present
 
     def test_values_parse_back_exactly(self, capsys):
         _, out, _ = run_cli(capsys, "affine", "2", "3", "5", "--method", "closed")

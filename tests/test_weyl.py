@@ -1,4 +1,5 @@
 """Reflection-group brute force: roots, Coxeter elements, chain counts."""
+import ast
 import itertools
 import logging
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fecount import weyl
 from fecount.counting import coxeter_number, e_dynkin_closed
 from fecount.diagrams import DynkinType
 from fecount.weyl import (
@@ -64,22 +66,104 @@ class TestRootSystems:
 
     @pytest.mark.parametrize("tok", ["A4", "D5", "E6"])
     def test_closed_under_simple_reflections(self, tok):
+        assert_ambient_roots_closed(build_root_system(T(tok)))
+
+    def test_model_check_catches_a_wrong_ambient_model(self, monkeypatch):
+        right = weyl._ambient_simple_roots(T("D4"))
+        # vertex 2 is D4's branch vertex; swapping it with a leaf breaks the Gram matrix
+        wrong = [right[1], right[0]] + right[2:]
+        monkeypatch.setattr(weyl, "_ambient_simple_roots", lambda dtype: wrong)
+        with pytest.raises(AssertionError):
+            build_root_system(T("D4"))
+        monkeypatch.undo()
+        rs = build_root_system(T("D4"))
+        assert len(rs.roots) == len(rs.coords) == 24
+        assert all(isinstance(x, Fraction) for v in rs.roots for x in v)
+        assert_ambient_roots_closed(rs)
+
+    @pytest.mark.parametrize("tok", ["A3", "D4", "E6"])
+    def test_ambient_pairing_is_the_cartan_pairing(self, tok):
         rs = build_root_system(T(tok))
-        vectors = set(rs.roots)
-        for si in rs.simple_roots:
-            alpha = rs.roots[si]
-            norm = sum(c * c for c in alpha)
-            assert norm == 2
-            for beta in vectors:
-                pairing = sum(a * b for a, b in zip(alpha, beta))
-                image = tuple(b - pairing * a for a, b in zip(alpha, beta))
-                assert image in vectors
+        for a, b in itertools.product(range(len(rs)), repeat=2):
+            ambient = sum(x * y for x, y in zip(rs.roots[a], rs.roots[b]))
+            assert ambient == cartan_pairing(rs, rs.coords[a], rs.coords[b])
 
     def test_unsupported_rank(self):
         with pytest.raises(UnsupportedRankError):
             build_root_system(T("A10"))
         with pytest.raises(UnsupportedRankError):
             build_root_system(T("D12"))
+
+
+def assert_ambient_roots_closed(rs):
+    vectors = set(rs.roots)
+    for si in rs.simple_roots:
+        alpha = rs.roots[si]
+        norm = sum(c * c for c in alpha)
+        assert norm == 2
+        for beta in vectors:
+            pairing = sum(a * b for a, b in zip(alpha, beta))
+            image = tuple(b - pairing * a for a, b in zip(alpha, beta))
+            assert image in vectors
+
+
+def cartan_pairing(rs, u, v):
+    n = rs.rank
+    return sum(u[i] * rs.cartan[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+class TestReflectionTable:
+    @pytest.mark.parametrize("tok", ["A4", "D5", "E6", "E8"])
+    def test_every_reflection_matches_the_direct_formula(self, tok):
+        rs = build_root_system(T(tok))
+        index = {vec: k for k, vec in enumerate(rs.coords)}
+        n = rs.rank
+        for b in rs.positive_roots:
+            beta = rs.coords[b]
+            # gamma - <gamma, beta> beta, the pairing taken through the Cartan matrix
+            paired = [sum(rs.cartan[i][j] * beta[j] for j in range(n)) for i in range(n)]
+            direct = []
+            for gamma in rs.coords:
+                c = sum(g * p for g, p in zip(gamma, paired))
+                direct.append(index[tuple(g - c * x for g, x in zip(gamma, beta))])
+            direct = tuple(direct)
+            assert reflection(rs, b).perm == direct
+            negative = index[tuple(-x for x in beta)]
+            assert reflection(rs, negative).perm == direct
+
+    @pytest.mark.parametrize("tok", ["A4", "D5", "E6", "E8"])
+    def test_every_reflection_is_an_involution(self, tok):
+        rs = build_root_system(T(tok))
+        e = identity_element(rs)
+        for k in range(len(rs)):
+            t = reflection(rs, k)
+            assert t != e and compose(t, t) == e
+
+    @pytest.mark.parametrize("tok", ["A4", "D5", "E6"])
+    def test_coxeter_element_is_the_product_of_simple_reflections(self, tok):
+        rs = build_root_system(T(tok))
+        n = rs.rank
+        orders = [range(n), range(n - 1, -1, -1), [*range(1, n, 2), *range(0, n, 2)]]
+        for order in orders:
+            product = identity_element(rs)
+            for i in order:
+                product = compose(product, reflection(rs, rs.simple_roots[i]))
+            assert coxeter_element(rs, index_order=order) == product
+
+
+def test_weyl_takes_only_the_coxeter_number_from_the_closed_forms():
+    """The oracle must stay independent of the closed forms it checks."""
+    tree = ast.parse(open(weyl.__file__).read())
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("counting", "fecount.counting"):
+                taken += [alias.name for alias in node.names]
+            elif node.module in (None, "fecount"):
+                assert "counting" not in [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("fecount.counting") for a in node.names)
+    assert taken == ["coxeter_number"]
 
 
 class TestGroupElements:
