@@ -9,6 +9,7 @@ instead of rounding.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable
 
@@ -85,15 +86,35 @@ def as_natural(value: Fraction | int, what: str = "value") -> int:
 
 
 def render_decimal(n: int) -> str:
-    """Decimal string for a count; the machine-output form of every value."""
+    """Decimal string for a count; the machine-output form of every value.
+
+    Counts of any length are rendered.  Past the interpreter's limit on
+    int-to-str conversion (``sys.get_int_max_str_digits``), the digits come
+    from :class:`decimal.Decimal`, which has no such limit, so no
+    process-wide setting is needed.
+
+    >>> render_decimal(2551500000), len(render_decimal(10**5000))
+    ('2551500000', 5001)
+    """
     if n < 0:
         raise ValueError(f"counts are non-negative, got {n}")
-    return str(n)
+    try:
+        return str(n)
+    except ValueError:  # past the int-to-str digit limit
+        return str(Decimal(n))
 
 
 def parse_decimal(text: str) -> int:
-    """Inverse of :func:`render_decimal`; accepts only plain decimal digits."""
+    """Inverse of :func:`render_decimal`: ASCII digits 0-9 only, with any
+    surrounding whitespace ignored; no sign, underscore or other digit.
+
+    >>> parse_decimal(" 46448640 "), parse_decimal(render_decimal(7**6000)) == 7**6000
+    (46448640, True)
+    """
     s = text.strip()
-    if not s.isdigit():
+    if not (s.isascii() and s.isdigit()):
         raise ValueError(f"not a decimal count: {text!r}")
-    return int(s)
+    try:
+        return int(s)
+    except ValueError:  # past the int-to-str digit limit
+        return int(Decimal(s))

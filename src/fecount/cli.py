@@ -1,9 +1,15 @@
 """Command-line front end: exact counts with machine-readable output.
 
-Subcommands: dynkin, affine, forest, oracle, verify, table.  Every count in
-machine output is a decimal string (never a bare JSON number) so consumers
-with 64-bit integers cannot truncate anything.  Apart from the elapsed_ms
-field, identical invocations print identical bytes.
+Subcommands: dynkin, affine, forest, oracle, verify, table.  The query
+commands build a table of method name -> count function and hand it to one
+runner, :func:`_query`, which runs the selected methods, sets ``agree`` and
+prints one JSON record; ``oracle X`` is ``dynkin X --method oracle`` under
+its own query label.  The sweeps (verify, table) print through one row
+printer, :func:`_print_rows`.  Every count in machine output is a decimal
+string from :func:`fecount.arith.render_decimal`, of any length and never a
+bare JSON number, so consumers with 64-bit integers cannot truncate
+anything.  Apart from the elapsed_ms field, identical invocations print
+identical bytes.
 
 The oracle's time budget comes from --budget-ms or the FEC_ORACLE_BUDGET_MS
 environment variable (default 60000).
@@ -18,8 +24,10 @@ import logging
 import os
 import sys
 import time
+from typing import Callable
 
 from . import counting, verify, weyl
+from .arith import render_decimal
 from .counting import CountCache, admissible_triples, load_cache, save_cache
 from .diagrams import DynkinForest, DynkinType, OrbifoldTriple
 
@@ -60,57 +68,69 @@ def _parse_dynkin_args(tokens: list[str]) -> DynkinType:
     raise CliError(f"expected a type like 'A5' or 'A 5', got {tokens!r}")
 
 
-def _emit(record: dict, elapsed_ms: float) -> None:
-    record["elapsed_ms"] = round(elapsed_ms, 3)
-    print(json.dumps(record))
+def _query(query: str, method: str, methods: dict[str, Callable[[], int]]) -> int:
+    """Run the methods ``method`` selects, print one JSON record, return the exit status.
 
-
-def _agreement(values: dict[str, str]) -> bool | None:
-    if len(values) < 2:
-        return None
-    return len(set(values.values())) == 1
-
-
-def cmd_dynkin(args: argparse.Namespace) -> int:
-    dtype = _parse_dynkin_args(args.type)
+    "both" selects closed and recursive, "all" every entry of ``methods``.
+    An infeasible oracle becomes a note, or an error when it is the only
+    method.  The status is 1 when two values disagree, 0 otherwise.
+    """
+    names = {"both": ("closed", "recursive"), "all": tuple(methods)}.get(method, (method,))
     started = time.perf_counter()
     values: dict[str, str] = {}
     notes: list[str] = []
-    if args.method in ("closed", "both", "all"):
-        values["closed"] = str(counting.e_dynkin_closed(dtype))
-    if args.method in ("recursive", "both", "all"):
-        values["recursive"] = str(counting.e_dynkin_recursive(dtype))
-    if args.method in ("oracle", "all"):
+    for name in names:
         try:
-            rs = weyl.build_root_system(dtype)
-            budget = _oracle_budget_ms(args.budget_ms)
-            values["oracle"] = str(weyl.count_reflection_factorizations(rs, budget))
+            values[name] = render_decimal(methods[name]())
         except (weyl.UnsupportedRankError, weyl.OracleBudgetExceeded) as exc:
-            if args.method == "oracle":
+            if len(names) == 1:
                 raise CliError(str(exc)) from exc
-            notes.append(f"oracle skipped: {exc}")
-    record: dict = {"query": f"dynkin {dtype}", "method": args.method, "values": values}
-    agree = _agreement(values)
-    if agree is not None:
-        record["agree"] = agree
+            notes.append(f"{name} skipped: {exc}")
+    record: dict = {"query": query, "method": method, "values": values}
+    agree = None
+    if len(values) > 1:
+        agree = record["agree"] = len(set(values.values())) == 1
     if notes:
         record["notes"] = notes
-    _emit(record, (time.perf_counter() - started) * 1000)
-    return 0 if agree in (None, True) else 1
+    record["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+    print(json.dumps(record))
+    return 1 if agree is False else 0
 
 
-def _parse_triple(tokens: list[int]) -> OrbifoldTriple:
-    try:
-        return OrbifoldTriple.of(*tokens)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _oracle(dtype: DynkinType, budget_ms: float | None) -> int:
+    """The brute-force count; the rank is checked before the budget is read."""
+    rs = weyl.build_root_system(dtype)
+    return weyl.count_reflection_factorizations(rs, _oracle_budget_ms(budget_ms))
+
+
+def cmd_dynkin(args: argparse.Namespace) -> int:
+    """``dynkin``, and ``oracle`` as ``dynkin --method oracle``."""
+    dtype = _parse_dynkin_args(args.type)
+    methods = {
+        "closed": lambda: counting.e_dynkin_closed(dtype),
+        "recursive": lambda: counting.e_dynkin_recursive(dtype),
+        "oracle": lambda: _oracle(dtype, args.budget_ms),
+    }
+    return _query(f"{args.command} {dtype}", args.method, methods)
+
+
+def _triple_methods(triple: OrbifoldTriple, cache: CountCache) -> dict[str, Callable[[], int]]:
+    """The three independent counts of an orbifold triple, in output order."""
+    return {
+        "closed": lambda: counting.e_affine_closed(triple),
+        "recursive": lambda: counting.e_affine(triple, cache),
+        "degll": lambda: counting.deg_ll_affine(triple),
+    }
 
 
 def cmd_affine(args: argparse.Namespace) -> int:
     if args.method == "oracle":
         raise CliError("no finite oracle exists for orbifold counts; "
                        "use --method closed/recursive/degll/both/all")
-    triple = _parse_triple(args.orders)
+    try:
+        triple = OrbifoldTriple.of(*args.orders)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     cache = CountCache()
     loaded = None  # counts read from the cache file, if it exists
     if args.cache and os.path.exists(args.cache):
@@ -120,29 +140,18 @@ def cmd_affine(args: argparse.Namespace) -> int:
             raise CliError(f"cannot read cache file: {exc}") from exc
         loaded = len(cache)
         log.info("loaded %d cached counts from %s", loaded, args.cache)
-    started = time.perf_counter()
-    values: dict[str, str] = {}
-    if args.method in ("closed", "both", "all"):
-        values["closed"] = str(counting.e_affine_closed(triple))
-    if args.method in ("recursive", "both", "all"):
-        values["recursive"] = str(counting.e_affine(triple, cache))
+    status = _query(f"affine {triple}", args.method, _triple_methods(triple, cache))
+    if cache.hits or cache.misses:
         log.info("cache: %d hits, %d misses", cache.hits, cache.misses)
-    if args.method in ("degll", "all"):
-        values["degll"] = str(counting.deg_ll_affine(triple))
-    record: dict = {"query": f"affine {triple}", "method": args.method, "values": values}
-    agree = _agreement(values)
-    if agree is not None:
-        record["agree"] = agree
-    _emit(record, (time.perf_counter() - started) * 1000)
     # A run that added no count leaves an existing file untouched.
-    if args.cache and agree is not False and len(cache) != loaded:
+    if args.cache and status == 0 and len(cache) != loaded:
         try:
             save_cache(cache, args.cache)
         except OSError as exc:
             reason = exc.strerror or exc
             raise CliError(f"cannot write cache file: {args.cache}: {reason}") from exc
         log.info("saved %d counts to %s", len(cache), args.cache)
-    return 0 if agree in (None, True) else 1
+    return status
 
 
 def cmd_forest(args: argparse.Namespace) -> int:
@@ -150,134 +159,87 @@ def cmd_forest(args: argparse.Namespace) -> int:
         forest = DynkinForest.of(DynkinType.parse(tok) for tok in args.component)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    started = time.perf_counter()
-    value = counting.e_forest(forest)
-    record = {
-        "query": f"forest {forest}",
-        "method": "closed",
-        "values": {"closed": str(value)},
-    }
-    _emit(record, (time.perf_counter() - started) * 1000)
-    return 0
+    return _query(f"forest {forest}", "closed", {"closed": lambda: counting.e_forest(forest)})
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    dtype = _parse_dynkin_args(args.type)
-    started = time.perf_counter()
-    try:
-        rs = weyl.build_root_system(dtype)
-        budget = _oracle_budget_ms(args.budget_ms)
-        value = weyl.count_reflection_factorizations(rs, budget)
-    except (weyl.UnsupportedRankError, weyl.OracleBudgetExceeded) as exc:
-        raise CliError(str(exc)) from exc
-    record = {
-        "query": f"oracle {dtype}",
-        "method": "oracle",
-        "values": {"oracle": str(value)},
-    }
-    _emit(record, (time.perf_counter() - started) * 1000)
-    return 0
+def _cell(value: str | bool | dict) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    if isinstance(value, dict):
+        return ",".join(f"{k}={v}" for k, v in value.items())
+    return value
 
 
-def _cross_check_records(max_mu: int) -> list[dict]:
-    records = []
-    cache = CountCache()
-    for triple in admissible_triples(max_mu):
-        closed = counting.e_affine_closed(triple)
-        recursive = counting.e_affine(triple, cache)
-        degll = counting.deg_ll_affine(triple)
-        records.append({
-            "check": "cross",
-            "triple": str(triple),
-            "closed": str(closed),
-            "recursive": str(recursive),
-            "degll": str(degll),
-            "agree": closed == recursive == degll,
-        })
-    return records
+def _print_rows(sweep: str, fmt: str, columns: list[str], records: list[dict]) -> None:
+    """Print a sweep's records as JSON lines, or their ``columns`` as CSV or markdown.
 
-
-def _require_checks(records: list, suite: str, bound: str) -> None:
-    """An empty sweep checked nothing, so it must not pass."""
+    A record's note follows its last markdown cell.  A sweep that selects
+    no records checked nothing, so it is an error rather than a pass.
+    """
     if not records:
-        raise CliError(f"verify {suite} {bound} selects no checks")
+        raise CliError(f"{sweep} selects no checks")
+    if fmt == "json":
+        print("\n".join(json.dumps(r) for r in records))
+        return
+    rows = [[_cell(r[c]) for c in columns] for r in records]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+        print(buf.getvalue(), end="")
+        return
+    lines = [columns, ["---"] * len(columns)]
+    for record, row in zip(records, rows):
+        if "note" in record:
+            row[-1] += f" ({record['note']})"
+        lines.append(row)
+    print("\n".join("| " + " | ".join(line) + " |" for line in lines))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "hurwitz":
+        sweep = f"verify hurwitz --max {args.max}"
+        columns, verdict = ["check", "params", "lhs", "rhs", "holds"], "holds"
         reports = verify.hurwitz_sweep(max_pq=args.max, max_r=args.max)
-        _require_checks(reports, "hurwitz", f"--max {args.max}")
-        ok = all(r.holds for r in reports)
-        if args.format == "md":
-            print(verify.identities_to_markdown(reports))
-        else:
-            print(verify.records_to_json_lines(
-                [verify.identity_to_record(r) for r in reports]))
+        records = [verify.identity_to_record(r) for r in reports]
     elif args.suite == "tables":
-        rows = verify.table_sweep(max_r=args.max_r)
-        ok = all(r.matches for r in rows)
-        if args.format == "md":
-            print(verify.rows_to_markdown(rows))
-        else:
-            print(verify.records_to_json_lines(
-                [verify.row_to_record(r) for r in rows]))
+        sweep = f"verify tables --max-r {args.max_r}"
+        columns, verdict = ["table", "case", "expected", "computed", "matches"], "matches"
+        records = [verify.row_to_record(r) for r in verify.table_sweep(max_r=args.max_r)]
     else:
-        records = _cross_check_records(args.max_mu)
-        _require_checks(records, "cross", f"--max-mu {args.max_mu}")
-        ok = all(r["agree"] for r in records)
-        if args.format == "md":
-            lines = ["| triple | closed | recursive | degll | agree |",
-                     "| --- | --- | --- | --- | --- |"]
-            lines += [
-                f"| {r['triple']} | {r['closed']} | {r['recursive']} | "
-                f"{r['degll']} | {'yes' if r['agree'] else 'NO'} |"
-                for r in records
-            ]
-            print("\n".join(lines))
-        else:
-            print(verify.records_to_json_lines(records))
-    return 0 if ok else 1
-
-
-def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    if args.dynkin:
-        header = ["type", "e", "deg_ll"]
-        types = [DynkinType("A", n) for n in range(1, args.max_rank + 1)]
-        types += [DynkinType("D", n) for n in range(4, args.max_rank + 1)]
-        types += [DynkinType("E", n) for n in (6, 7, 8) if n <= args.max_rank]
-        rows = [
-            [str(t), str(counting.e_dynkin_closed(t)), str(counting.deg_ll_dynkin(t))]
-            for t in types
-        ]
-        return header, rows
-    header = ["triple", "e", "deg_ll"]
-    cache = CountCache()
-    rows = []
-    for triple in admissible_triples(args.max_mu):
-        rows.append([
-            str(triple),
-            str(counting.e_affine(triple, cache)),
-            str(counting.deg_ll_affine(triple)),
-        ])
-    return header, rows
+        sweep = f"verify cross --max-mu {args.max_mu}"
+        columns, verdict = ["triple", "closed", "recursive", "degll", "agree"], "agree"
+        cache = CountCache()
+        records = []
+        for triple in admissible_triples(args.max_mu):
+            closed, recursive, degll = (
+                render_decimal(count()) for count in _triple_methods(triple, cache).values()
+            )
+            records.append({"agree": closed == recursive == degll, "check": "cross",
+                            "closed": closed, "degll": degll, "recursive": recursive,
+                            "triple": str(triple)})
+    _print_rows(sweep, args.format, columns, records)
+    return 0 if all(r[verdict] for r in records) else 1
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    header, rows = _table_rows(args)
-    if args.format == "json":
-        for row in rows:
-            print(json.dumps(dict(zip(header, row))))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        print(buf.getvalue(), end="")
+    if args.dynkin:
+        sweep, columns = f"table --dynkin --max-rank {args.max_rank}", ["type", "e", "deg_ll"]
+        types = [DynkinType("A", n) for n in range(1, args.max_rank + 1)]
+        types += [DynkinType("D", n) for n in range(4, args.max_rank + 1)]
+        types += [DynkinType("E", n) for n in (6, 7, 8) if n <= args.max_rank]
+        rows = [(t, counting.e_dynkin_closed(t), counting.deg_ll_dynkin(t)) for t in types]
     else:
-        print("| " + " | ".join(header) + " |")
-        print("| " + " | ".join("---" for _ in header) + " |")
-        for row in rows:
-            print("| " + " | ".join(row) + " |")
+        sweep, columns = f"table --affine --max-mu {args.max_mu}", ["triple", "e", "deg_ll"]
+        cache = CountCache()
+        rows = []
+        for triple in admissible_triples(args.max_mu):
+            methods = _triple_methods(triple, cache)
+            rows.append((triple, methods["recursive"](), methods["degll"]()))
+    records = [
+        dict(zip(columns, (str(key), render_decimal(e), render_decimal(deg_ll))))
+        for key, e, deg_ll in rows
+    ]
+    _print_rows(sweep, args.format, columns, records)
     return 0
 
 
@@ -312,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="reflection-factorization brute force")
     p.add_argument("type", nargs="+", help="type token, e.g. D4")
     p.add_argument("--budget-ms", type=float, default=None)
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_dynkin, method="oracle")
 
     p = sub.add_parser("verify", help="run a verification suite (exit 0 iff clean)")
     p.add_argument("suite", choices=["hurwitz", "tables", "cross"])

@@ -206,7 +206,7 @@ def load_cache(path: str | Path) -> CountCache:
             continue
         try:
             key, _, value = line.partition("->")
-            triple = OrbifoldTriple(tuple(int(x) for x in key.strip().split(",")))
+            triple = OrbifoldTriple(tuple(map(parse_decimal, key.split(","))))
             count = parse_decimal(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad cache line {raw!r}") from exc

@@ -20,11 +20,10 @@ count for orders (2,2,3) by direct computation, so the row expects
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import as_natural, binomial, factorial, ratio_pow
+from .arith import as_natural, binomial, factorial, ratio_pow, render_decimal
 from .counting import CountCache, affine_parts, affine_total
 from .diagrams import OrbifoldTriple
 
@@ -244,50 +243,26 @@ def table_sweep(max_r: int = 10) -> list[TableRow]:
 
 
 def identity_to_record(report: IdentityReport) -> dict:
-    """JSON-ready dict; count fields are decimal strings."""
+    """JSON-ready dict, keys sorted; count fields are decimal strings."""
     return {
         "check": report.name,
-        "params": dict(sorted(report.params.items())),
-        "lhs": str(report.lhs),
-        "rhs": str(report.rhs),
         "holds": report.holds,
+        "lhs": render_decimal(report.lhs),
+        "params": dict(sorted(report.params.items())),
+        "rhs": render_decimal(report.rhs),
     }
 
 
 def row_to_record(row: TableRow) -> dict:
+    """JSON-ready dict, keys sorted; ``note`` only when the row has one."""
     record = {
-        "check": "table",
-        "table": row.table,
         "case": row.case,
-        "expected": str(row.expected),
-        "computed": str(row.computed),
+        "check": "table",
+        "computed": render_decimal(row.computed),
+        "expected": render_decimal(row.expected),
         "matches": row.matches,
     }
     if row.note:
         record["note"] = row.note
+    record["table"] = row.table
     return record
-
-
-def identities_to_markdown(reports: list[IdentityReport]) -> str:
-    lines = ["| check | params | lhs | rhs | holds |",
-             "| --- | --- | --- | --- | --- |"]
-    for rep in reports:
-        params = ",".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
-        lines.append(f"| {rep.name} | {params} | {rep.lhs} | {rep.rhs} | "
-                     f"{'yes' if rep.holds else 'NO'} |")
-    return "\n".join(lines)
-
-
-def rows_to_markdown(rows: list[TableRow]) -> str:
-    lines = ["| table | case | expected | computed | matches |",
-             "| --- | --- | --- | --- | --- |"]
-    for row in rows:
-        flag = "yes" if row.matches else "NO"
-        note = f" ({row.note})" if row.note else ""
-        lines.append(f"| {row.table} | {row.case} | {row.expected} | "
-                     f"{row.computed} | {flag}{note} |")
-    return "\n".join(lines)
-
-
-def records_to_json_lines(records: list[dict]) -> str:
-    return "\n".join(json.dumps(r, sort_keys=True) for r in records)

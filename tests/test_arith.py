@@ -103,7 +103,17 @@ def test_decimal_round_trip(n):
     assert parse_decimal(render_decimal(n)) == n
 
 
+def test_decimal_round_trip_past_the_str_digit_limit():
+    n = 7**6000  # 5071 digits
+    text = render_decimal(n)
+    assert len(text) == 5071
+    assert int(text[:40]) == n // 10**5031 and int(text[-40:]) == n % 10**40
+    assert parse_decimal(text) == n
+    assert render_decimal(10**5000) == "1" + "0" * 5000
+
+
 def test_parse_decimal_rejects_junk():
-    for bad in ["", "-3", "1.5", "0x10", "12a"]:
+    # ASCII digits only: no sign, underscore, or digit from another script.
+    for bad in ["", "-3", "1.5", "0x10", "12a", "+2", "2_0", "\u0668", "\u0661\u0662", "\u00b2"]:
         with pytest.raises(ValueError):
             parse_decimal(bad)

@@ -3,10 +3,16 @@ import json
 import re
 import subprocess
 import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from fecount.cli import main
+from fecount.counting import e_affine_closed
+from fecount.diagrams import OrbifoldTriple
+
+TESTS = Path(__file__).parent
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +62,19 @@ class TestDynkinCommand:
     def test_parse_failure(self, capsys):
         code, _, err = run_cli(capsys, "dynkin", "Q5")
         assert code == 2 and "cannot parse" in err
+
+    def test_count_past_the_str_digit_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "dynkin", "A2000", "--method", "closed")
+        value = last_record(out)["values"]["closed"]
+        assert code == 0 and len(value) == 6600
+        assert Decimal(value) == Decimal(2001**1999)
+
+    def test_bad_budget_env_is_an_error_not_a_note(self, capsys, monkeypatch):
+        monkeypatch.setenv("FEC_ORACLE_BUDGET_MS", "soon")
+        code, out, err = run_cli(capsys, "dynkin", "A3", "--method", "all")
+        assert code == 2 and out == "" and "FEC_ORACLE_BUDGET_MS" in err
+        code, out, _ = run_cli(capsys, "dynkin", "A3", "--method", "closed")
+        assert code == 0 and last_record(out)["values"] == {"closed": "16"}
 
 
 class TestAffineCommand:
@@ -139,14 +158,24 @@ class TestAffineCommand:
         lines = set(path.read_text().splitlines())
         assert set(before.splitlines()) < lines and "2,3,4 -> 46448640" in lines
 
-    @pytest.mark.parametrize("line", ["garbage", "1,1,1 -> -5"])
+    # Every number of a line is ASCII 0-9: no underscore, sign or other digit.
+    @pytest.mark.parametrize("line", ["garbage", "1,1,1 -> -5", "1,1,2_0 -> 1",
+                                      "1,1,+2 -> 8", "1,1,2 -> \u0668"])
     def test_bad_cache_line_is_a_one_line_error(self, capsys, tmp_path, line):
         path = tmp_path / "cache.txt"
         path.write_text(line + "\n")
-        code, out, err = run_cli(capsys, "affine", "2", "3", "4", "--cache", str(path))
+        before = path.read_bytes()
+        code, out, err = run_cli(capsys, "affine", "1", "1", "2", "--cache", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "bad cache line" in err
+        assert path.read_bytes() == before
+
+    def test_count_past_the_str_digit_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "affine", "1", "1", "3000", "--method", "closed")
+        value = last_record(out)["values"]["closed"]
+        assert code == 0 and len(value) > 4300
+        assert Decimal(value) == Decimal(e_affine_closed(OrbifoldTriple.of(1, 1, 3000)))
 
 
 class TestForestAndOracleCommands:
@@ -178,6 +207,10 @@ class TestForestAndOracleCommands:
     def test_oracle_budget_flag_rejects_nan_and_negative(self, capsys, value):
         code, out, err = run_cli(capsys, "oracle", "A2", "--budget-ms", value)
         assert code == 2 and out == "" and "--budget-ms" in err
+
+    def test_oracle_past_the_rank_cap_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "A10")
+        assert code == 2 and out == "" and "rank <= 9" in err
 
     def test_infinite_budget_means_no_deadline(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "A3", "--budget-ms", "inf")
@@ -211,13 +244,21 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [("hurwitz", "--max", "0"), ("hurwitz", "--max", "-3"), ("cross", "--max-mu", "0")],
+        [("verify", "hurwitz", "--max", "0"), ("verify", "hurwitz", "--max", "-3"),
+         ("verify", "cross", "--max-mu", "0"),
+         ("table", "--affine", "--max-mu", "0", "--format", "json"),
+         ("table", "--dynkin", "--max-rank", "0", "--format", "md")],
     )
     def test_empty_sweep_is_an_error(self, capsys, argv):
-        code, out, err = run_cli(capsys, "verify", *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "selects no checks" in err
+
+    def test_failed_check_is_marked_and_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("fecount.counting.deg_ll_affine", lambda triple: 7)
+        code, out, _ = run_cli(capsys, "verify", "cross", "--max-mu", "2", "--format", "md")
+        assert code == 1 and out.splitlines()[-1] == "| (1,1,1) | 1 | 1 | 7 | NO |"
 
     def test_markdown_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "hurwitz", "--max", "2",
@@ -261,6 +302,45 @@ class TestDeterminism:
         _, out, _ = run_cli(capsys, "affine", "2", "3", "5", "--method", "closed")
         value = last_record(out)["values"]["closed"]
         assert int(value) == 2551500000
+
+
+def _transcript() -> dict[str, str]:
+    """Command -> stdout (elapsed_ms removed) from cli_transcript.txt."""
+    cases: dict[str, str] = {}
+    for line in (TESTS / "cli_transcript.txt").read_text().splitlines(keepends=True):
+        if line.startswith("$ fec "):
+            command = line[len("$ fec "):].strip()
+            cases[command] = ""
+        else:
+            cases[command] += line
+    return cases
+
+
+@pytest.mark.parametrize("command, expected", _transcript().items(), ids=str)
+def test_stdout_is_pinned(capsys, command, expected):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0 and scrub_elapsed(out) == expected
+    if "--format md" not in command and "--format csv" not in command:
+        assert all(json.loads(line) for line in out.splitlines())
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    """Every ``fec`` line of README's "Command line" block exits 0 and
+    prints output that parses."""
+    readme = (TESTS.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split()[1:]
+                for line in block.splitlines() if line.startswith("fec ")]
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 0 and lines, argv
+        if "md" in argv:
+            assert all(line.startswith("| ") and line.endswith(" |") for line in lines), argv
+        else:
+            assert all(json.loads(line) for line in lines), argv
 
 
 def test_console_entry_point_runs_in_subprocess():

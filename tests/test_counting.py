@@ -192,6 +192,15 @@ class TestCache:
         assert e_affine(OrbifoldTriple.of(2, 3, 4), reloaded) == 46448640
         assert reloaded.hits == before + 1  # served from the file contents
 
+    def test_round_trip_of_a_count_past_the_str_digit_limit(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        count = 10**4999 + 12345  # 5000 digits
+        cache = CountCache()
+        cache.put_affine(OrbifoldTriple.of(1, 1, 1), count)
+        save_cache(cache, path)
+        assert path.read_text() == "1,1,1 -> 1" + "0" * 4994 + "12345\n"
+        assert load_cache(path).items() == [(OrbifoldTriple.of(1, 1, 1), count)]
+
     def test_load_tolerates_comments_and_rejects_junk(self, tmp_path):
         path = tmp_path / "counts.txt"
         path.write_text("# comment\n\n2,3,3 -> 1224720\n")

@@ -1,6 +1,4 @@
 """Hurwitz identities and golden-table reproduction."""
-import json
-
 import pytest
 
 from fecount.diagrams import OrbifoldTriple
@@ -8,12 +6,9 @@ from fecount.verify import (
     check_hurwitz1,
     check_hurwitz2,
     hurwitz_sweep,
-    identities_to_markdown,
     identity_to_record,
-    records_to_json_lines,
     reproduce_table,
     row_to_record,
-    rows_to_markdown,
     table_sweep,
 )
 
@@ -119,21 +114,11 @@ class TestRendering:
         rec = identity_to_record(check_hurwitz1(3, 4))
         assert isinstance(rec["lhs"], str) and rec["lhs"].isdigit()
         assert rec["holds"] is True
+        assert list(rec) == sorted(rec)  # printed as JSON in this order
 
     def test_row_record_carries_note_only_when_present(self):
         rows = reproduce_table(OrbifoldTriple.of(2, 3, 4))
         recs = [row_to_record(r) for r in rows]
         noted = [r for r in recs if "note" in r]
         assert len(noted) == 1 and noted[0]["case"] == "v=(3,2)"
-
-    def test_json_lines_parse_back(self):
-        recs = [identity_to_record(check_hurwitz2(r)) for r in (1, 2, 3)]
-        text = records_to_json_lines(recs)
-        parsed = [json.loads(line) for line in text.splitlines()]
-        assert [p["params"]["r"] for p in parsed] == [1, 2, 3]
-
-    def test_markdown_shapes(self):
-        md = identities_to_markdown([check_hurwitz2(2)])
-        assert md.splitlines()[0].startswith("| check |")
-        md = rows_to_markdown(reproduce_table(OrbifoldTriple.of(2, 3, 3)))
-        assert "| (2,3,3) | total | 1224720 | 1224720 | yes |" in md
+        assert all(list(r) == sorted(r) for r in recs)
