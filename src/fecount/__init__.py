@@ -40,7 +40,6 @@ from .verify import (
     table_sweep,
 )
 from .weyl import (
-    GroupElement,
     OracleBudgetExceeded,
     RootSystem,
     UnsupportedRankError,
@@ -58,7 +57,6 @@ __all__ = [
     "ClassificationError",
     "DynkinForest",
     "DynkinType",
-    "GroupElement",
     "IdentityReport",
     "MarkedGraph",
     "NonIntegralError",

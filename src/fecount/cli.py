@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -27,7 +28,7 @@ import time
 from typing import Callable
 
 from . import counting, verify, weyl
-from .arith import render_decimal
+from .arith import parse_decimal, render_decimal
 from .counting import CountCache, admissible_triples, load_cache, save_cache
 from .diagrams import DynkinForest, DynkinType, OrbifoldTriple
 
@@ -61,7 +62,7 @@ def _parse_dynkin_args(tokens: list[str]) -> DynkinType:
     try:
         if len(tokens) == 1:
             return DynkinType.parse(tokens[0])
-        if len(tokens) == 2 and tokens[1].isdigit():
+        if len(tokens) == 2 and tokens[1].isascii() and tokens[1].isdigit():
             return DynkinType.parse(tokens[0] + tokens[1])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -128,7 +129,7 @@ def cmd_affine(args: argparse.Namespace) -> int:
         raise CliError("no finite oracle exists for orbifold counts; "
                        "use --method closed/recursive/degll/both/all")
     try:
-        triple = OrbifoldTriple.of(*args.orders)
+        triple = OrbifoldTriple.of(*map(parse_decimal, args.orders))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     cache = CountCache()
@@ -243,7 +244,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fec`` parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="fec",
         description="Exact counts of complete exceptional sequences for "
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dynkin)
 
     p = sub.add_parser("affine", help="count for orbifold point orders")
-    p.add_argument("orders", nargs=3, type=int, metavar="A")
+    p.add_argument("orders", nargs=3, metavar="A")
     p.add_argument("--method", default="both",
                    choices=["closed", "recursive", "degll", "oracle", "both", "all"])
     p.add_argument("--cache", default=None, help="persistent count cache file")

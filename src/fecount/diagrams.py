@@ -58,13 +58,13 @@ class DynkinType:
 
     @classmethod
     def parse(cls, token: str) -> "DynkinType":
-        """Parse a token like "A5", "D7" or "E8".
+        """Parse a token like "A5", "D7" or "E8"; the rank is ASCII digits only.
 
         >>> DynkinType.parse("d7")
         DynkinType(family='D', rank=7)
         """
         t = token.strip().upper()
-        if len(t) < 2 or t[0] not in "ADE" or not t[1:].isdigit():
+        if len(t) < 2 or t[0] not in "ADE" or not (t[1:].isascii() and t[1:].isdigit()):
             raise ValueError(f"cannot parse Dynkin token {token!r}")
         return cls(t[0], int(t[1:]))
 

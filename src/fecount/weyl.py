@@ -18,18 +18,20 @@ Representations:
   model check: the Gram matrix of the n ambient simple roots must equal the
   Cartan matrix.  The ambient coordinates of all roots are computed only
   when ``RootSystem.roots`` is first read; nothing in the count reads them.
-* A group element is given to the public functions as the permutation it
-  induces on the root list.  Every reflection comes from the simple ones by
-  conjugation, s_{s_i(b)} = s_i s_b s_i, walking up the positive roots by
-  height, so it is exact integer permutation composition; s_{-b} = s_b.
-  The walk keys an element more compactly, by the root indices of its n
-  simple-root images: the simple roots are a basis, so the images determine
-  the element, and they are the columns of its integer matrix M in the
-  simple-root basis.
+* A group element is a plain tuple: the permutation it induces on the root
+  index set, the same form as ``rs.reflections[k]`` and
+  ``rs.simple_reflections[i]``.  Every reflection comes from the simple
+  ones by conjugation, s_{s_i(b)} = s_i s_b s_i, walking up the positive
+  roots by height, so it is exact integer permutation composition;
+  s_{-b} = s_b.  The walk keys an element more compactly, by the root
+  indices of its n simple-root images: the simple roots are a basis, so the
+  images determine the element, and they are the columns of its integer
+  matrix M in the simple-root basis.
 * Absolute (reflection) length is rank(M - I), the codimension of the fixed
-  space ker(M - I).  The kernel comes from fraction-free integer
-  elimination that divides each row by the gcd of its entries, so it is
-  exact with no floating point and no Fraction.
+  space ker(M - I), which :func:`_fixed_space` reads from the n images.  The
+  kernel comes from fraction-free integer elimination that divides each row
+  by the gcd of its entries, so it is exact with no floating point and no
+  Fraction.
 
 The factorization count is a descent through the absolute order: a
 reflection t shortens w exactly when its root lies in the moved space
@@ -132,16 +134,6 @@ class RootSystem:
         return tuple(table)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A Weyl group element as its permutation of the root index set."""
-
-    perm: tuple[int, ...]
-
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm))
-
-
 def _ambient_simple_roots(dtype: DynkinType) -> list[tuple[int | Fraction, ...]]:
     """The simple roots in the classical model.  Entries are ints, apart from
     the half-integers of the E series' first simple root."""
@@ -232,21 +224,12 @@ def build_root_system(dtype: DynkinType) -> RootSystem:
     )
 
 
-def identity_element(rs: RootSystem) -> GroupElement:
-    return GroupElement(tuple(range(len(rs))))
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
+def compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     """The element acting as h first, then g."""
-    return GroupElement(tuple(g.perm[i] for i in h.perm))
+    return tuple(g[i] for i in h)
 
 
-def reflection(rs: RootSystem, root_index: int) -> GroupElement:
-    """The reflection in the hyperplane of the given root."""
-    return GroupElement(rs.reflections[root_index])
-
-
-def coxeter_element(rs: RootSystem, index_order: Sequence[int] | None = None) -> GroupElement:
+def coxeter_element(rs: RootSystem, index_order: Sequence[int] | None = None) -> tuple[int, ...]:
     """Product of the simple reflections, by default in index order.
 
     Any ordering gives a conjugate element, so the factorization count does
@@ -257,28 +240,22 @@ def coxeter_element(rs: RootSystem, index_order: Sequence[int] | None = None) ->
     order = list(index_order) if index_order is not None else list(range(rs.rank))
     if sorted(order) != list(range(rs.rank)):
         raise ValueError(f"index_order must permute 0..{rs.rank - 1}, got {order}")
-    element = identity_element(rs)
+    element = tuple(range(len(rs)))
     for i in order:
-        element = compose(element, GroupElement(rs.simple_reflections[i]))
-    assert element_order(rs, element) == coxeter_number(rs.dtype)
+        element = compose(element, rs.simple_reflections[i])
+    assert element_order(element) == coxeter_number(rs.dtype)
     return element
 
 
-def element_order(rs: RootSystem, g: GroupElement) -> int:
+def element_order(g: tuple[int, ...]) -> int:
     """Multiplicative order of the element (the Coxeter number, for a
     Coxeter element)."""
+    identity = tuple(range(len(g)))
     power, order = g, 1
-    while not power.is_identity():
+    while power != identity:
         power = compose(g, power)
         order += 1
     return order
-
-
-def matrix_in_root_basis(rs: RootSystem, g: GroupElement) -> list[list[int]]:
-    """Integer matrix of the element on the root lattice (simple-root basis)."""
-    n = rs.rank
-    cols = [rs.coords[g.perm[rs.simple_roots[j]]] for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def _kernel_basis(matrix: list[list[int]]) -> list[tuple[int, ...]]:
@@ -322,7 +299,17 @@ def _kernel_basis(matrix: list[list[int]]) -> list[tuple[int, ...]]:
     return basis
 
 
-def absolute_length(rs: RootSystem, g: GroupElement) -> int:
+def _fixed_space(coords: Sequence[tuple[int, ...]], key: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Integer basis of ker(M - I) for the element whose simple-root images
+    are the roots ``key`` (indices into ``coords``): those images are the
+    columns of M."""
+    m_minus_i = [[coords[k][i] for k in key] for i in range(len(key))]
+    for i, row in enumerate(m_minus_i):
+        row[i] -= 1
+    return _kernel_basis(m_minus_i)
+
+
+def absolute_length(rs: RootSystem, g: tuple[int, ...]) -> int:
     """Reflection length: rank of (M - I) over Q, i.e. codimension of the
     fixed space.  Exact integer elimination, no floating point.
 
@@ -330,17 +317,13 @@ def absolute_length(rs: RootSystem, g: GroupElement) -> int:
     >>> absolute_length(rs, coxeter_element(rs))
     3
     """
-    n = rs.rank
-    m = matrix_in_root_basis(rs, g)
-    for i in range(n):
-        m[i][i] -= 1
-    return n - len(_kernel_basis(m))
+    return rs.rank - len(_fixed_space(rs.coords, tuple(g[s] for s in rs.simple_roots)))
 
 
 def count_reflection_factorizations(
     rs: RootSystem,
     budget_ms: float | None = None,
-    coxeter: GroupElement | None = None,
+    coxeter: tuple[int, ...] | None = None,
 ) -> int:
     """Number of ways to write a Coxeter element as a product of rank-many
     reflections — the maximal-chain count of the noncrossing partition
@@ -361,7 +344,6 @@ def count_reflection_factorizations(
     n = rs.rank
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     top = coxeter if coxeter is not None else coxeter_element(rs)
-    assert absolute_length(rs, top) == n
 
     # Pair each reflection's permutation with its root paired through the
     # invariant form: the shortening test is "orthogonal to the fixed space".
@@ -379,7 +361,7 @@ def count_reflection_factorizations(
     # carries [ways, candidates]: the reflections below its parent, a superset
     # of the reflections below it.
     level: dict[tuple[int, ...], list] = {
-        tuple(top.perm[s] for s in simple): [1, reflections]
+        tuple(top[s] for s in simple): [1, reflections]
     }
     elements_seen = 1
     for length in range(n, 0, -1):
@@ -391,11 +373,8 @@ def count_reflection_factorizations(
                     f"at absolute length {length} with "
                     f"{elements_seen + len(descended)} elements seen"
                 )
-            m_minus_i = [[coords[k][i] for k in key] for i in range(n)]
-            for i in range(n):
-                m_minus_i[i][i] -= 1
-            fixed = _kernel_basis(m_minus_i)
-            assert len(fixed) == n - length  # descent keeps lengths exact
+            fixed = _fixed_space(coords, key)
+            assert len(fixed) == n - length  # exact descent; full length at the top
             below = [
                 refl
                 for refl in candidates

@@ -71,7 +71,7 @@ def test_criterion_3_coxeter_orders():
     mismatches = []
     for t in DYNKIN_SWEEP:
         rs = build_root_system(t)
-        if element_order(rs, coxeter_element(rs)) != coxeter_number(t):
+        if element_order(coxeter_element(rs)) != coxeter_number(t):
             mismatches.append(str(t))
     report(3, "coxeter element orders", not mismatches,
            f"{len(DYNKIN_SWEEP)} types")

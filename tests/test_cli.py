@@ -77,6 +77,21 @@ class TestDynkinCommand:
         assert code == 0 and last_record(out)["values"] == {"closed": "16"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("dynkin", "A\u0665", "--method", "closed"),
+     ("dynkin", "A", "\u0665", "--method", "closed"),
+     ("forest", "A\u0663"),
+     ("affine", "2", "3", "\u0665", "--method", "closed"),
+     ("affine", "1", "2", "1_0", "--method", "closed")],
+)
+def test_numbers_are_ascii_digits_only(capsys, argv):
+    """Arabic-Indic digits and ``_`` separators are not read as numbers."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestAffineCommand:
     def test_headline_value(self, capsys):
         code, out, _ = run_cli(capsys, "affine", "2", "3", "5")

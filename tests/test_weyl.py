@@ -13,7 +13,6 @@ from fecount import weyl
 from fecount.counting import coxeter_number, e_dynkin_closed
 from fecount.diagrams import DynkinType
 from fecount.weyl import (
-    GroupElement,
     OracleBudgetExceeded,
     UnsupportedRankError,
     _kernel_basis,
@@ -23,8 +22,6 @@ from fecount.weyl import (
     count_reflection_factorizations,
     coxeter_element,
     element_order,
-    identity_element,
-    reflection,
 )
 
 
@@ -32,15 +29,20 @@ def T(tok):
     return DynkinType.parse(tok)
 
 
+def identity(rs):
+    """The identity element: the trivial permutation of the root indices."""
+    return tuple(range(len(rs)))
+
+
 def enumerate_factorizations(rs) -> int:
     """Independent oracle: try every sequence of rank-many reflections and
     count the ones whose product is the Coxeter element.  Only viable for
     tiny groups."""
     target = coxeter_element(rs)
-    refl = [reflection(rs, i) for i in rs.positive_roots]
+    refl = [rs.reflections[i] for i in rs.positive_roots]
     count = 0
     for seq in itertools.product(refl, repeat=rs.rank):
-        g = identity_element(rs)
+        g = identity(rs)
         for t in seq:
             g = compose(g, t)
         if g == target:
@@ -127,16 +129,16 @@ class TestReflectionTable:
                 c = sum(g * p for g, p in zip(gamma, paired))
                 direct.append(index[tuple(g - c * x for g, x in zip(gamma, beta))])
             direct = tuple(direct)
-            assert reflection(rs, b).perm == direct
+            assert rs.reflections[b] == direct
             negative = index[tuple(-x for x in beta)]
-            assert reflection(rs, negative).perm == direct
+            assert rs.reflections[negative] == direct
 
     @pytest.mark.parametrize("tok", ["A4", "D5", "E6", "E8"])
     def test_every_reflection_is_an_involution(self, tok):
         rs = build_root_system(T(tok))
-        e = identity_element(rs)
+        e = identity(rs)
         for k in range(len(rs)):
-            t = reflection(rs, k)
+            t = rs.reflections[k]
             assert t != e and compose(t, t) == e
 
     @pytest.mark.parametrize("tok", ["A4", "D5", "E6"])
@@ -145,9 +147,9 @@ class TestReflectionTable:
         n = rs.rank
         orders = [range(n), range(n - 1, -1, -1), [*range(1, n, 2), *range(0, n, 2)]]
         for order in orders:
-            product = identity_element(rs)
+            product = identity(rs)
             for i in order:
-                product = compose(product, reflection(rs, rs.simple_roots[i]))
+                product = compose(product, rs.reflections[rs.simple_roots[i]])
             assert coxeter_element(rs, index_order=order) == product
 
 
@@ -172,12 +174,12 @@ class TestGroupElements:
         coords = list(rs.coords)
         neg = [coords.index(tuple(-x for x in v)) for v in coords]
         g = coxeter_element(rs)
-        assert all(g.perm[neg[i]] == neg[g.perm[i]] for i in range(len(coords)))
+        assert all(g[neg[i]] == neg[g[i]] for i in range(len(coords)))
 
     def test_identity_and_composition(self):
         rs = build_root_system(T("A3"))
-        e = identity_element(rs)
-        t = reflection(rs, rs.positive_roots[0])
+        e = identity(rs)
+        t = rs.reflections[rs.positive_roots[0]]
         assert compose(t, t) == e
         assert compose(e, t) == t and compose(t, e) == t
 
@@ -187,7 +189,7 @@ class TestGroupElements:
     )
     def test_coxeter_element_order_is_coxeter_number(self, tok):
         rs = build_root_system(T(tok))
-        assert element_order(rs, coxeter_element(rs)) == coxeter_number(T(tok))
+        assert element_order(coxeter_element(rs)) == coxeter_number(T(tok))
 
 
 class TestAbsoluteLength:
@@ -198,17 +200,17 @@ class TestAbsoluteLength:
 
     def test_identity_and_reflections(self):
         rs = build_root_system(T("D4"))
-        assert absolute_length(rs, identity_element(rs)) == 0
+        assert absolute_length(rs, identity(rs)) == 0
         for i in rs.positive_roots:
-            assert absolute_length(rs, reflection(rs, i)) == 1
+            assert absolute_length(rs, rs.reflections[i]) == 1
 
     def test_changes_by_one_under_reflection(self):
         import random
 
         rng = random.Random(7)
         rs = build_root_system(T("A4"))
-        refl = [reflection(rs, i) for i in rs.positive_roots]
-        g = identity_element(rs)
+        refl = [rs.reflections[i] for i in rs.positive_roots]
+        g = identity(rs)
         for _ in range(60):
             t = rng.choice(refl)
             h = compose(t, g)
@@ -284,7 +286,7 @@ class TestFactorizationCounts:
         direct length comparison, for every element below the Coxeter
         element."""
         rs = build_root_system(T("D4"))
-        refl = [reflection(rs, i) for i in rs.positive_roots]
+        refl = [rs.reflections[i] for i in rs.positive_roots]
         frontier = {coxeter_element(rs)}
         seen = set()
         while frontier:
@@ -299,23 +301,29 @@ class TestFactorizationCounts:
                     frontier.add(h)
         # Re-count descents over the rank-verified graph (shortest elements
         # first so sub-counts exist) and compare with the production walk.
-        below = {g.perm for g in seen}
-        order = sorted(below, key=lambda p: absolute_length(rs, GroupElement(p)))
+        order = sorted(seen, key=lambda g: absolute_length(rs, g))
         chain_count = {}
-        for perm in order:
-            g = GroupElement(perm)
+        for g in order:
             lg = absolute_length(rs, g)
             if lg == 0:
-                chain_count[perm] = 1
+                chain_count[g] = 1
                 continue
             total = 0
             for t in refl:
                 h = compose(t, g)
-                if h.perm in below and absolute_length(rs, h) == lg - 1:
-                    total += chain_count[h.perm]
-            chain_count[perm] = total
-        assert chain_count[coxeter_element(rs).perm] == 162
+                if h in seen and absolute_length(rs, h) == lg - 1:
+                    total += chain_count[h]
+            chain_count[g] = total
+        assert chain_count[coxeter_element(rs)] == 162
         assert count_reflection_factorizations(rs) == 162
+
+    @pytest.mark.parametrize("tok", ["A3", "D4"])
+    def test_a_non_coxeter_top_is_refused(self, tok):
+        """A reflection has absolute length 1, not the rank: the walk's
+        length asserts must refuse it as the ``coxeter`` argument."""
+        rs = build_root_system(T(tok))
+        with pytest.raises(AssertionError):
+            count_reflection_factorizations(rs, coxeter=rs.reflections[rs.positive_roots[0]])
 
     def test_budget_is_enforced(self):
         rs = build_root_system(T("E6"))
