@@ -31,8 +31,6 @@ from .diagrams import (
     extended_diagram,
 )
 from .verify import (
-    IdentityReport,
-    TableRow,
     check_hurwitz1,
     check_hurwitz2,
     hurwitz_sweep,
@@ -57,13 +55,11 @@ __all__ = [
     "ClassificationError",
     "DynkinForest",
     "DynkinType",
-    "IdentityReport",
     "MarkedGraph",
     "NonIntegralError",
     "OracleBudgetExceeded",
     "OrbifoldTriple",
     "RootSystem",
-    "TableRow",
     "UnsupportedRankError",
     "absolute_length",
     "admissible_triples",

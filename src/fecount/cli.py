@@ -200,12 +200,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "hurwitz":
         sweep = f"verify hurwitz --max {args.max}"
         columns, verdict = ["check", "params", "lhs", "rhs", "holds"], "holds"
-        reports = verify.hurwitz_sweep(max_pq=args.max, max_r=args.max)
-        records = [verify.identity_to_record(r) for r in reports]
+        records = verify.hurwitz_sweep(args.max)
     elif args.suite == "tables":
         sweep = f"verify tables --max-r {args.max_r}"
         columns, verdict = ["table", "case", "expected", "computed", "matches"], "matches"
-        records = [verify.row_to_record(r) for r in verify.table_sweep(max_r=args.max_r)]
+        records = verify.table_sweep(max_r=args.max_r)
     else:
         sweep = f"verify cross --max-mu {args.max_mu}"
         columns, verdict = ["triple", "closed", "recursive", "degll", "agree"], "agree"

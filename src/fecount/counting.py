@@ -39,6 +39,7 @@ from .diagrams import (
     delete_vertex,
     dynkin_diagram,
     extended_diagram,
+    is_admissible,
 )
 
 log = logging.getLogger(__name__)
@@ -327,7 +328,6 @@ def admissible_triples(max_mu: int) -> Iterator[OrbifoldTriple]:
     for a1 in range(1, max_mu + 1):
         for a2 in range(a1, max_mu + 1):
             for a3 in range(a2, max_mu + 2 - a1 - a2):
-                chi = Fraction(1, a1) + Fraction(1, a2) + Fraction(1, a3) - 1
-                if chi > 0:
+                if is_admissible(a1, a2, a3):
                     found.append(OrbifoldTriple((a1, a2, a3)))
     return iter(sorted(found, key=lambda t: (t.mu, t.orders)))

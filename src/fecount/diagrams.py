@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 ADMISSIBLE_FAMILIES = "(1,p,q), (2,2,r), (2,3,3), (2,3,4), (2,3,5)"
 
@@ -25,8 +24,7 @@ class ClassificationError(ValueError):
     """A graph component is not a simply-laced Dynkin tree."""
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class DynkinType:
     """A simply-laced type: family 'A' (rank >= 1), 'D' (>= 4) or 'E' (6..8)."""
 
@@ -47,14 +45,6 @@ class DynkinType:
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
-
-    def _key(self) -> tuple[str, int]:
-        return (self.family, self.rank)
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, DynkinType):
-            return NotImplemented
-        return self._key() < other._key()
 
     @classmethod
     def parse(cls, token: str) -> "DynkinType":
@@ -87,6 +77,11 @@ class DynkinForest:
         return " | ".join(str(c) for c in self.components) or "(empty)"
 
 
+def is_admissible(a1: int, a2: int, a3: int) -> bool:
+    """Whether the Euler number 1/a1 + 1/a2 + 1/a3 - 1 is positive, tested in integers."""
+    return a2 * a3 + a1 * a3 + a1 * a2 > a1 * a2 * a3
+
+
 @dataclass(frozen=True)
 class OrbifoldTriple:
     """Orbifold point orders (a1 <= a2 <= a3) with positive Euler number.
@@ -103,7 +98,7 @@ class OrbifoldTriple:
             raise ValueError(f"orders must be three positive integers, got {a}")
         if tuple(sorted(a)) != a:
             raise ValueError(f"orders must be sorted ascending, got {a}; use OrbifoldTriple.of")
-        if self.chi <= 0:
+        if not is_admissible(*a):
             raise ValueError(
                 f"orders {a} have non-positive Euler number {self.chi}; "
                 f"admissible families are {ADMISSIBLE_FAMILIES}"

@@ -1,17 +1,20 @@
 """Golden-value verification: Hurwitz identities and per-vertex tables.
 
-Two kinds of checks live here.
+Every check returns the JSON-ready records that ``fec verify`` prints: keys
+sorted, counts as decimal strings, and ``holds``/``matches`` decided on the
+exact ints.  Two kinds of checks live here.
 
 * The two classical Hurwitz summation identities that make the (1,p,q) and
   (2,2,r) inductions close.  Both sides are evaluated exactly and compared.
 * Row-by-row reproduction of the deletion/branch tables behind the counts
-  for (2,2,r) and the three exceptional triples.  Expected values are
-  frozen here — symbolically for the (2,2,r) family, as literal integers
-  for (2,3,3), (2,3,4), (2,3,5) — and computed values are the parts of
-  the triple recursion itself, from :func:`fecount.counting.affine_parts`.
-  A final synthetic "total" row per table reassembles those parts with
-  :func:`fecount.counting.affine_total`, the recursion's own assembler, and
-  compares the result against the frozen total.
+  for (2,2,r) and the three exceptional triples.  Computed values are the
+  parts of the triple recursion, from :func:`fecount.counting.affine_parts`,
+  and a final "total" row reassembles them with
+  :func:`fecount.counting.affine_total`.  Expected values are frozen
+  integers for (2,3,3), (2,3,4), (2,3,5).  For (2,2,r), each row weighted
+  as the recursion weights it (r on deletion and (3,j) rows, 2 on (1,1) and
+  (2,1)) is four times a term of the one-parameter Hurwitz identity, so the
+  rows use the same summands as :func:`check_hurwitz2`.
 
 One golden row carries a caveat: for (2,3,4), the branch row (3,2) is
 sometimes rendered with the misprint 38840 in place of 38880; 38880 is the
@@ -20,7 +23,6 @@ count for orders (2,2,3) by direct computation, so the row expects
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import as_natural, binomial, factorial, ratio_pow, render_decimal
@@ -28,36 +30,23 @@ from .counting import CountCache, affine_parts, affine_total
 from .diagrams import OrbifoldTriple
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """One exact identity check: name, parameters, both sides, verdict."""
-
-    name: str
-    params: dict[str, int] = field(compare=False)
-    lhs: int
-    rhs: int
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
+def _identity(name: str, params: dict[str, int], lhs: int, rhs: int) -> dict:
+    """The record of one exact identity check; ``params`` in key order."""
+    return {"check": name, "holds": lhs == rhs, "lhs": render_decimal(lhs),
+            "params": params, "rhs": render_decimal(rhs)}
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One golden-table row.  ``note`` records flagged irregularities."""
-
-    table: str
-    case: str
-    expected: int
-    computed: int
-    note: str = ""
-
-    @property
-    def matches(self) -> bool:
-        return self.expected == self.computed
+def _row(table: str, case: str, expected: int, computed: int, note: str = "") -> dict:
+    """The record of one golden-table row; ``note`` only when the row has one."""
+    record = {"case": case, "check": "table", "computed": render_decimal(computed),
+              "expected": render_decimal(expected), "matches": expected == computed}
+    if note:
+        record["note"] = note
+    record["table"] = table
+    return record
 
 
-def check_hurwitz1(p: int, q: int) -> IdentityReport:
+def check_hurwitz1(p: int, q: int) -> dict:
     """Exact check of the two-parameter Hurwitz identity.
 
     (p+q-1)!/((p-1)!(q-1)!) p^p q^q
@@ -84,55 +73,54 @@ def check_hurwitz1(p: int, q: int) -> IdentityReport:
         return p * total
 
     rhs = p * q * ratio_pow(p + q, p + q - 2) + one_sided(p, q) + one_sided(q, p)
-    return IdentityReport(
-        name="hurwitz1",
-        params={"p": p, "q": q},
-        lhs=as_natural(lhs, "hurwitz1 lhs"),
-        rhs=as_natural(rhs, "hurwitz1 rhs"),
-    )
+    return _identity("hurwitz1", {"p": p, "q": q},
+                     as_natural(lhs, "hurwitz1 lhs"), as_natural(rhs, "hurwitz1 rhs"))
 
 
-def check_hurwitz2(r: int) -> IdentityReport:
+def _branch(r: int, j: int) -> int:
+    """Branch summand (r+2)!/((j+3)!(r-j-1)!) (j+1)(j+2)(j+3) j^{j+1} (r-j)^{r-j-2}.
+
+    An integer for 1 <= j <= r-1; at j = r-1 the last factor is 1^{-1}.
+    """
+    term = binomial(r + 2, j + 3) * (j + 1) * (j + 2) * (j + 3) * j ** (j + 1)
+    return as_natural(term * ratio_pow(r - j, r - j - 2), f"hurwitz2 branch term ({r},{j})")
+
+
+def _split(r: int, k: int) -> int:
+    """Split summand C(r+2, k+1) k^{k+1} (r-k)^{r-k+1}, for 1 <= k <= r-1."""
+    return binomial(r + 2, k + 1) * k ** (k + 1) * (r - k) ** (r - k + 1)
+
+
+def check_hurwitz2(r: int) -> dict:
     """Exact check of the one-parameter Hurwitz identity.
 
     (r+1)(r+2)(r+3) r^{r+1}
       = 4(r+1) r^{r+1} + 2r (r+1)^{r+2}
-      + r * sum_{j=1}^{r-1} (r+2)!/((j+3)!(r-j-1)!) *
-            (j+1)(j+2)(j+3) j^{j+1} (r-j)^{r-j-2}
-      + r * sum_{k=1}^{r-1} (r+2)!/((k+1)!(r-k+1)!) * k^{k+1} (r-k)^{r-k+1}.
+      + r * sum_{j=1}^{r-1} branch(r, j) + r * sum_{k=1}^{r-1} split(r, k),
 
-    Both sums are empty at r = 1, where the identity reads 24 = 8 + 16.
+    with the summands of :func:`_branch` and :func:`_split`.  Both sums are
+    empty at r = 1, where the identity reads 24 = 8 + 16.
+
+    >>> check_hurwitz2(1)
+    {'check': 'hurwitz2', 'holds': True, 'lhs': '24', 'params': {'r': 1}, 'rhs': '24'}
     """
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    lhs = Fraction((r + 1) * (r + 2) * (r + 3)) * r ** (r + 1)
-    rhs = Fraction(4 * (r + 1)) * r ** (r + 1) + 2 * r * Fraction(r + 1) ** (r + 2)
-    for j in range(1, r):
-        term = Fraction(factorial(r + 2), factorial(j + 3) * factorial(r - j - 1))
-        term *= (j + 1) * (j + 2) * (j + 3) * j ** (j + 1)
-        term *= ratio_pow(r - j, r - j - 2)
-        rhs += r * term
-    for k in range(1, r):
-        term = Fraction(factorial(r + 2), factorial(k + 1) * factorial(r - k + 1))
-        term *= k ** (k + 1) * (r - k) ** (r - k + 1)
-        rhs += r * term
-    return IdentityReport(
-        name="hurwitz2",
-        params={"r": r},
-        lhs=as_natural(lhs, "hurwitz2 lhs"),
-        rhs=as_natural(rhs, "hurwitz2 rhs"),
-    )
+    lhs = (r + 1) * (r + 2) * (r + 3) * r ** (r + 1)
+    rhs = 4 * (r + 1) * r ** (r + 1) + 2 * r * (r + 1) ** (r + 2)
+    rhs += r * sum(_branch(r, j) + _split(r, j) for j in range(1, r))
+    return _identity("hurwitz2", {"r": r}, lhs, rhs)
 
 
-def hurwitz_sweep(max_pq: int = 15, max_r: int = 15) -> list[IdentityReport]:
-    """Every hurwitz1 check on [1, max_pq]^2 followed by hurwitz2 on [1, max_r]."""
-    reports = [
+def hurwitz_sweep(bound: int = 15) -> list[dict]:
+    """Every hurwitz1 check on [1, bound]^2 followed by hurwitz2 on [1, bound]."""
+    records = [
         check_hurwitz1(p, q)
-        for p in range(1, max_pq + 1)
-        for q in range(1, max_pq + 1)
+        for p in range(1, bound + 1)
+        for q in range(1, bound + 1)
     ]
-    reports += [check_hurwitz2(r) for r in range(1, max_r + 1)]
-    return reports
+    records += [check_hurwitz2(r) for r in range(1, bound + 1)]
+    return records
 
 
 # Frozen expected values for the three exceptional tables: deletion rows by
@@ -162,27 +150,29 @@ _VARIANT_NOTE = (
 )
 
 
-def _expected_deletion_22r(r: int, v: int) -> int:
-    """Expected forest count after deleting vertex v of the (2,2,r) diagram."""
-    if v in (1, 2, r + 2, r + 3):
-        return 2 * (r + 1) ** (r + 2)
-    k = v  # fork splits: blocks of sizes k-1 and r+3-k
-    val = binomial(r + 2, k - 1) * 4
-    val *= (k - 2) ** (k - 1) * (r + 2 - k) ** (r + 3 - k)
-    return val
+def _golden(triple: OrbifoldTriple) -> tuple[list[int], dict[tuple[int, int], int], int]:
+    """Expected (deletion rows, branch rows, total) for one triple.
+
+    For (2,2,r) each of the four leaves 1, 2, r+2, r+3 deletes to
+    2(r+1)^{r+2}, and interior vertex v splits the diagram into blocks of
+    sizes v-1 and r+3-v, giving 4 split(r, v-2).
+    """
+    a = triple.orders
+    if a[:2] == (2, 2) and a[2] >= 2:
+        r = a[2]
+        outer = 2 * (r + 1) ** (r + 2)
+        side = 4 * (r + 1) * r ** (r + 1)
+        deletions = [outer, outer, *(4 * _split(r, k) for k in range(1, r)), outer, outer]
+        branches = {(1, 1): side, (2, 1): side}
+        branches.update({(3, j): 4 * _branch(r, j) for j in range(1, r)})
+        return deletions, branches, 4 * (r + 1) * (r + 2) * (r + 3) * r ** (r + 1)
+    if a in _TOTAL_GOLD:
+        return _DELETION_GOLD[a], _BRANCH_GOLD[a], _TOTAL_GOLD[a]
+    raise ValueError(f"no golden table for {triple}; supported: (2,2,r>=2), "
+                     "(2,3,3), (2,3,4), (2,3,5)")
 
 
-def _expected_branch_22r(r: int, i: int, j: int) -> int:
-    """Expected branch row (i, j) for the (2,2,r) family."""
-    if i in (1, 2):
-        return 4 * (r + 1) * r ** (r + 1)
-    term = Fraction(factorial(r + 2), factorial(j + 3) * factorial(r - j - 1))
-    term *= 4 * (j + 1) * (j + 2) * (j + 3) * j ** (j + 1)
-    term *= ratio_pow(r - j, r - j - 2)
-    return as_natural(term, f"(2,2,{r}) branch row ({i},{j})")
-
-
-def reproduce_table(triple: OrbifoldTriple, cache: CountCache | None = None) -> list[TableRow]:
+def reproduce_table(triple: OrbifoldTriple, cache: CountCache | None = None) -> list[dict]:
     """Recompute every row of the golden table for one triple.
 
     Supports the (2,2,r) family with r >= 2 and the triples (2,3,3),
@@ -191,78 +181,32 @@ def reproduce_table(triple: OrbifoldTriple, cache: CountCache | None = None) -> 
     and depth (binomial times sub-triple count times path count), and one
     reassembled grand total.
     """
-    a = triple.orders
-    family_22r = a[:2] == (2, 2) and a[2] >= 2
-    if not family_22r and a not in _DELETION_GOLD:
-        raise ValueError(f"no golden table for {triple}; supported: (2,2,r>=2), "
-                         "(2,3,3), (2,3,4), (2,3,5)")
+    expected_deletions, expected_branches, expected_total = _golden(triple)
     if cache is None:
         cache = CountCache()
     label = str(triple)
     deletions, branches = affine_parts(triple, cache)
-    rows: list[TableRow] = []
-
     # Extended diagrams number their vertices 1..mu.
-    for v, computed in enumerate(deletions, start=1):
-        if family_22r:
-            expected = _expected_deletion_22r(a[2], v)
-        else:
-            expected = _DELETION_GOLD[a][v - 1]
-        rows.append(TableRow(table=label, case=f"v={v}", expected=expected,
-                             computed=computed))
-
+    rows = [
+        _row(label, f"v={v}", expected, computed)
+        for v, (expected, computed) in enumerate(
+            zip(expected_deletions, deletions, strict=True), start=1)
+    ]
     for i, j, computed in branches:
-        if family_22r:
-            expected = _expected_branch_22r(a[2], i, j)
-        else:
-            expected = _BRANCH_GOLD[a][(i, j)]
-        note = _VARIANT_NOTE if (a == (2, 3, 4) and (i, j) == (3, 2)) else ""
-        rows.append(TableRow(table=label, case=f"v=({i},{j})",
-                             expected=expected, computed=computed, note=note))
-
-    if family_22r:
-        r = a[2]
-        total_expected = 4 * (r + 1) * (r + 2) * (r + 3) * r ** (r + 1)
-    else:
-        total_expected = _TOTAL_GOLD[a]
-    rows.append(TableRow(table=label, case="total", expected=total_expected,
-                         computed=affine_total(triple, deletions, branches)))
+        note = _VARIANT_NOTE if (triple.orders == (2, 3, 4) and (i, j) == (3, 2)) else ""
+        rows.append(_row(label, f"v=({i},{j})", expected_branches[(i, j)], computed, note))
+    rows.append(_row(label, "total", expected_total,
+                     affine_total(triple, deletions, branches)))
     return rows
 
 
-def table_sweep(max_r: int = 10) -> list[TableRow]:
+def table_sweep(max_r: int = 10) -> list[dict]:
     """All golden tables: (2,2,r) for 2 <= r <= max_r, then the three
     exceptional triples."""
     cache = CountCache()
-    rows: list[TableRow] = []
+    rows: list[dict] = []
     for r in range(2, max_r + 1):
         rows += reproduce_table(OrbifoldTriple.of(2, 2, r), cache)
     for a in ((2, 3, 3), (2, 3, 4), (2, 3, 5)):
         rows += reproduce_table(OrbifoldTriple.of(*a), cache)
     return rows
-
-
-def identity_to_record(report: IdentityReport) -> dict:
-    """JSON-ready dict, keys sorted; count fields are decimal strings."""
-    return {
-        "check": report.name,
-        "holds": report.holds,
-        "lhs": render_decimal(report.lhs),
-        "params": dict(sorted(report.params.items())),
-        "rhs": render_decimal(report.rhs),
-    }
-
-
-def row_to_record(row: TableRow) -> dict:
-    """JSON-ready dict, keys sorted; ``note`` only when the row has one."""
-    record = {
-        "case": row.case,
-        "check": "table",
-        "computed": render_decimal(row.computed),
-        "expected": render_decimal(row.expected),
-        "matches": row.matches,
-    }
-    if row.note:
-        record["note"] = row.note
-    record["table"] = row.table
-    return record

@@ -113,8 +113,8 @@ def test_criterion_5_cross_formula_to_mu_14():
 def test_criterion_6_hurwitz_identities():
     started = time.perf_counter()
     ok = all(
-        check_hurwitz1(p, q).holds for p in range(1, 16) for q in range(1, 16)
-    ) and all(check_hurwitz2(r).holds for r in range(1, 16))
+        check_hurwitz1(p, q)["holds"] for p in range(1, 16) for q in range(1, 16)
+    ) and all(check_hurwitz2(r)["holds"] for r in range(1, 16))
     elapsed = time.perf_counter() - started
     report(6, "hurwitz identities (bounds 15)", ok and elapsed < 2.0,
            f"{elapsed:.3f}s")
@@ -122,10 +122,10 @@ def test_criterion_6_hurwitz_identities():
 
 def test_criterion_7_table_reproduction():
     rows = table_sweep(max_r=10)
-    bad = [f"{r.table}:{r.case}" for r in rows if not r.matches]
-    flagged = [r for r in rows if r.note and "38840" in r.note]
-    ok = not bad and len(flagged) == 1 and flagged[0].table == "(2,3,4)" \
-        and flagged[0].computed == 272160
+    bad = [f"{r['table']}:{r['case']}" for r in rows if not r["matches"]]
+    flagged = [r for r in rows if "38840" in r.get("note", "")]
+    ok = not bad and len(flagged) == 1 and flagged[0]["table"] == "(2,3,4)" \
+        and flagged[0]["computed"] == "272160"
     report(7, "golden tables incl. misprint flag", ok, f"{len(rows)} rows")
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fecount import verify
 from fecount.cli import main
 from fecount.counting import e_affine_closed
 from fecount.diagrams import OrbifoldTriple
@@ -270,10 +271,25 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "selects no checks" in err
 
-    def test_failed_check_is_marked_and_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr("fecount.counting.deg_ll_affine", lambda triple: 7)
-        code, out, _ = run_cli(capsys, "verify", "cross", "--max-mu", "2", "--format", "md")
-        assert code == 1 and out.splitlines()[-1] == "| (1,1,1) | 1 | 1 | 7 | NO |"
+    @pytest.mark.parametrize(
+        "suite, bound, patch, row",
+        [("cross", ("--max-mu", "2"),
+          lambda mp: mp.setattr("fecount.counting.deg_ll_affine", lambda triple: 7),
+          "| (1,1,1) | 1 | 1 | 7 | NO |"),
+         ("tables", ("--max-r", "2"),
+          lambda mp: mp.setitem(verify._TOTAL_GOLD, (2, 3, 3), 7),
+          "| (2,3,3) | total | 7 | 1224720 | NO |"),
+         ("hurwitz", ("--max", "2"),
+          lambda mp: mp.setattr(verify, "_split", lambda r, k: 0),
+          "| hurwitz2 | r=2 | 480 | 468 | NO |")],
+        ids=["cross", "tables", "hurwitz"],
+    )
+    def test_failed_check_is_marked_and_exits_1(self, capsys, monkeypatch, suite, bound,
+                                                 patch, row):
+        patch(monkeypatch)
+        code, out, _ = run_cli(capsys, "verify", suite, *bound, "--format", "md")
+        failed = [line for line in out.splitlines() if line.endswith("| NO |")]
+        assert code == 1 and failed == [row]
 
     def test_markdown_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "hurwitz", "--max", "2",
