@@ -12,7 +12,9 @@ anything.  Apart from the elapsed_ms field, identical invocations print
 identical bytes.
 
 The oracle's time budget comes from --budget-ms or the FEC_ORACLE_BUDGET_MS
-environment variable (default 60000).
+environment variable (default 60000).  Numbers on the command line are read
+in ASCII only: a sweep bound is an optional ``-`` and the digits 0-9, and a
+budget is what ``float`` reads from ASCII text without ``_``.
 """
 from __future__ import annotations
 
@@ -41,20 +43,48 @@ class CliError(Exception):
     """User-facing failure; printed to stderr, exit status 2."""
 
 
+def _budget_value(source: str, raw: str) -> float:
+    """A budget in ms as ``float`` reads it, from ASCII text with no ``_``."""
+    if raw.isascii() and "_" not in raw:
+        try:
+            return float(raw)
+        except ValueError:
+            pass
+    raise CliError(f"{source} must be a number, got {raw!r}")
+
+
 def _oracle_budget_ms(override: float | None) -> float:
     """The oracle budget; inf means no deadline and 0 expires at once."""
-    source, raw = "--budget-ms", override
+    source, budget = "--budget-ms", override
     if override is None:
-        source, raw = "FEC_ORACLE_BUDGET_MS", os.environ.get("FEC_ORACLE_BUDGET_MS")
+        raw = os.environ.get("FEC_ORACLE_BUDGET_MS")
         if raw is None:
             return DEFAULT_ORACLE_BUDGET_MS
-    try:
-        budget = float(raw)
-    except ValueError as exc:
-        raise CliError(f"{source} must be a number, got {raw!r}") from exc
+        source, budget = "FEC_ORACLE_BUDGET_MS", _budget_value("FEC_ORACLE_BUDGET_MS", raw)
     if not budget >= 0:  # also rejects NaN, which would disable the deadline
         raise CliError(f"{source} must be a non-negative number of ms, got {budget}")
     return budget
+
+
+def _bound(option: str, raw: str) -> int:
+    """A sweep bound: an optional ``-`` and the ASCII digits 0-9 only."""
+    digits = raw[1:] if raw.startswith("-") else raw
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # past the int-from-str digit limit
+            pass
+    raise CliError(f"{option} must be an integer in ASCII digits, got {raw!r}")
+
+
+def _read_numbers(args: argparse.Namespace) -> None:
+    """Replace the numeric options given on the command line by their values."""
+    for name in ("max", "max_r", "max_mu", "max_rank"):
+        raw = getattr(args, name, None)
+        if isinstance(raw, str):  # a default is already an int
+            setattr(args, name, _bound("--" + name.replace("_", "-"), raw))
+    if getattr(args, "budget_ms", None) is not None:
+        args.budget_ms = _budget_value("--budget-ms", args.budget_ms)
 
 
 def _parse_dynkin_args(tokens: list[str]) -> DynkinType:
@@ -259,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type", nargs="+", help="type token, e.g. A5 or 'A 5'")
     p.add_argument("--method", default="both",
                    choices=["closed", "recursive", "oracle", "both", "all"])
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", default=None)
     p.set_defaults(func=cmd_dynkin)
 
     p = sub.add_parser("affine", help="count for orbifold point orders")
@@ -275,14 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="reflection-factorization brute force")
     p.add_argument("type", nargs="+", help="type token, e.g. D4")
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", default=None)
     p.set_defaults(func=cmd_dynkin, method="oracle")
 
     p = sub.add_parser("verify", help="run a verification suite (exit 0 iff clean)")
     p.add_argument("suite", choices=["hurwitz", "tables", "cross"])
-    p.add_argument("--max", type=int, default=15, help="hurwitz parameter bound")
-    p.add_argument("--max-r", type=int, default=10, help="(2,2,r) table bound")
-    p.add_argument("--max-mu", type=int, default=14, help="cross-check mu bound")
+    p.add_argument("--max", default=15, help="hurwitz parameter bound")
+    p.add_argument("--max-r", default=10, help="(2,2,r) table bound")
+    p.add_argument("--max-mu", default=14, help="cross-check mu bound")
     p.add_argument("--format", default="json", choices=["json", "md"])
     p.set_defaults(func=cmd_verify)
 
@@ -290,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--dynkin", action="store_true")
     group.add_argument("--affine", action="store_true")
-    p.add_argument("--max-rank", type=int, default=8)
-    p.add_argument("--max-mu", type=int, default=9)
+    p.add_argument("--max-rank", default=8)
+    p.add_argument("--max-mu", default=9)
     p.add_argument("--format", default="json", choices=["json", "csv", "md"])
     p.set_defaults(func=cmd_table)
     return parser
@@ -308,6 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         force=True,
     )
     try:
+        _read_numbers(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,8 @@ exact ints.  Two kinds of checks live here.
 
 * The two classical Hurwitz summation identities that make the (1,p,q) and
   (2,2,r) inductions close.  Both sides are evaluated exactly and compared.
+  Their factorial ratios are binomial coefficients, so hurwitz1 is summed
+  in plain ints with no rational intermediate.
 * Row-by-row reproduction of the deletion/branch tables behind the counts
   for (2,2,r) and the three exceptional triples.  Computed values are the
   parts of the triple recursion, from :func:`fecount.counting.affine_parts`,
@@ -23,9 +25,7 @@ count for orders (2,2,3) by direct computation, so the row expects
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .arith import as_natural, binomial, factorial, ratio_pow, render_decimal
+from .arith import as_natural, binomial, ratio_pow, render_decimal
 from .counting import CountCache, affine_parts, affine_total
 from .diagrams import OrbifoldTriple
 
@@ -55,26 +55,28 @@ def check_hurwitz1(p: int, q: int) -> dict:
             (q+j-1)!/((j-1)!(q-1)!) * j^j q^q (p-j)^{p-j-2}
       + (the same sum with p and q exchanged).
 
-    Sums are empty at p = 1 or q = 1; boundary factors like 1^{-1} are
-    evaluated as exact rationals.
+    Sums are empty at p = 1 or q = 1.  Every factor is an integer: the
+    factorial ratios are (p+q-1) C(p+q-2, p-1), C(p+q-1, q+j) and
+    q C(q+j-1, q), and the boundary factor (p-j)^{p-j-2} at j = p-1 is the
+    integer 1, the only place where its exponent is negative.
+
+    >>> check_hurwitz1(2, 3)
+    {'check': 'hurwitz1', 'holds': True, 'lhs': '1296', 'params': {'p': 2, 'q': 3}, 'rhs': '1296'}
     """
     if p < 1 or q < 1:
         raise ValueError(f"p, q must be positive, got ({p}, {q})")
-    lhs = Fraction(factorial(p + q - 1), factorial(p - 1) * factorial(q - 1))
-    lhs *= p**p * q**q
+    lhs = (p + q - 1) * binomial(p + q - 2, p - 1) * p**p * q**q
 
-    def one_sided(p: int, q: int) -> Fraction:
-        total = Fraction(0)
-        for j in range(1, p):
-            term = Fraction(factorial(p + q - 1), factorial(q + j) * factorial(p - j - 1))
-            term *= Fraction(factorial(q + j - 1), factorial(j - 1) * factorial(q - 1))
-            term *= j**j * q**q * ratio_pow(p - j, p - j - 2)
-            total += term
-        return p * total
+    def one_sided(p: int, q: int) -> int:
+        qq = q**q
+        return p * sum(
+            binomial(p + q - 1, q + j) * q * binomial(q + j - 1, q) * j**j * qq
+            * (p - j) ** max(p - j - 2, 0)  # 1^{-1} = 1^0 at j = p-1
+            for j in range(1, p)
+        )
 
-    rhs = p * q * ratio_pow(p + q, p + q - 2) + one_sided(p, q) + one_sided(q, p)
-    return _identity("hurwitz1", {"p": p, "q": q},
-                     as_natural(lhs, "hurwitz1 lhs"), as_natural(rhs, "hurwitz1 rhs"))
+    rhs = p * q * (p + q) ** (p + q - 2) + one_sided(p, q) + one_sided(q, p)
+    return _identity("hurwitz1", {"p": p, "q": q}, lhs, rhs)
 
 
 def _branch(r: int, j: int) -> int:

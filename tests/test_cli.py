@@ -84,13 +84,31 @@ class TestDynkinCommand:
      ("dynkin", "A", "\u0665", "--method", "closed"),
      ("forest", "A\u0663"),
      ("affine", "2", "3", "\u0665", "--method", "closed"),
-     ("affine", "1", "2", "1_0", "--method", "closed")],
+     ("affine", "1", "2", "1_0", "--method", "closed"),
+     ("verify", "hurwitz", "--max", "\u0662"),
+     ("verify", "hurwitz", "--max", "1_0"),
+     ("verify", "hurwitz", "--max", "+2"),
+     ("verify", "cross", "--max-mu", "\u0663"),
+     ("verify", "tables", "--max-r", "\u0662"),
+     ("table", "--dynkin", "--max-rank", "\u0663"),
+     ("table", "--affine", "--max-mu", "\u0663"),
+     ("oracle", "A3", "--budget-ms", "1_000"),
+     ("oracle", "A3", "--budget-ms", "\u0661\u0660\u0660\u0660"),
+     ("dynkin", "A3", "--method", "closed", "--budget-ms", "\u0661")],
 )
 def test_numbers_are_ascii_digits_only(capsys, argv):
     """Arabic-Indic digits and ``_`` separators are not read as numbers."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["\u0661\u0660\u0660\u0660", "1_000"])
+def test_budget_env_is_ascii_only(capsys, monkeypatch, value):
+    monkeypatch.setenv("FEC_ORACLE_BUDGET_MS", value)
+    code, out, err = run_cli(capsys, "oracle", "A3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: FEC_ORACLE_BUDGET_MS") and err.count("\n") == 1
 
 
 class TestAffineCommand:

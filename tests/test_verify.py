@@ -1,5 +1,7 @@
 """Hurwitz identities and golden-table reproduction."""
 import ast
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,31 @@ class TestHurwitz1:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             check_hurwitz1(0, 3)
+
+    def test_sides_match_the_factorial_formula(self):
+        """lhs and rhs agree with an independent evaluation of the docstring's
+        formula, every factorial ratio and power taken as a Fraction."""
+        pairs = [(p, q) for p in range(1, 16) for q in range(1, 16)]
+        pairs += [(30, 7), (7, 30), (24, 24), (40, 3), (3, 40)]
+        for p, q in pairs:
+            rec = check_hurwitz1(p, q)
+            lhs, rhs = hurwitz1_by_factorials(p, q)
+            assert (rec["lhs"], rec["rhs"]) == (str(lhs), str(rhs)), (p, q)
+
+
+def hurwitz1_by_factorials(p, q):
+    """Both sides of the (p, q) Hurwitz identity, summed in Fractions."""
+    def one_sided(p, q):
+        return p * sum(
+            Fraction(factorial(p + q - 1), factorial(q + j) * factorial(p - j - 1))
+            * Fraction(factorial(q + j - 1), factorial(j - 1) * factorial(q - 1))
+            * j**j * q**q * Fraction(p - j) ** (p - j - 2)
+            for j in range(1, p)
+        )
+
+    lhs = Fraction(factorial(p + q - 1), factorial(p - 1) * factorial(q - 1)) * p**p * q**q
+    rhs = p * q * Fraction(p + q) ** (p + q - 2) + one_sided(p, q) + one_sided(q, p)
+    return lhs, rhs
 
 
 class TestHurwitz2:
@@ -142,3 +169,14 @@ def test_verify_takes_only_the_recursion_terms_from_counting():
             assert not any(a.name.startswith(("fecount.counting", "fecount.weyl"))
                            for a in node.names)
     assert sorted(taken) == ["CountCache", "affine_parts", "affine_total"]
+
+
+def test_verify_is_integer_only():
+    """The Hurwitz checks sum plain ints: no Fraction and no factorial."""
+    tree = ast.parse(Path(verify.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name == "fractions" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "fractions"
+            assert "factorial" not in [alias.name for alias in node.names]
