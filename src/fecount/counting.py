@@ -10,7 +10,9 @@ test suite insists on it.
 Both recursions share one kernel: :func:`deletion_counts` gives the forest
 count left by deleting each vertex, :func:`affine_parts` adds the branch
 term of each orbifold point and depth, and :func:`affine_total` assembles
-the triple's count from those parts.  The golden tables in
+the triple's count from those parts.  The diagram's adjacency is built once,
+and each deletion is classified in place from it, without building the
+smaller graph.  The golden tables in
 :mod:`fecount.verify` read the same parts, so they check the live recursion.
 
 Every routine works in exact integers/rationals and asserts integrality of
@@ -36,7 +38,6 @@ from .diagrams import (
     MarkedGraph,
     OrbifoldTriple,
     classify_forest,
-    delete_vertex,
     dynkin_diagram,
     extended_diagram,
     is_admissible,
@@ -117,10 +118,12 @@ def e_forest(forest: DynkinForest) -> int:
 
 
 def deletion_counts(graph: MarkedGraph) -> list[int]:
-    """Forest count left by deleting each vertex, in label order."""
-    return [
-        e_forest(classify_forest(delete_vertex(graph, v))) for v in sorted(graph.vertices)
-    ]
+    """Forest count left by deleting each vertex, in label order.
+
+    Every deletion is classified in place from the graph's one adjacency
+    (``classify_forest(graph, without=v)``); no smaller graph is built.
+    """
+    return [e_forest(classify_forest(graph, without=v)) for v in sorted(graph.vertices)]
 
 
 def e_dynkin_recursive(dtype: DynkinType) -> int:

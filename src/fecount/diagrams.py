@@ -6,6 +6,11 @@ a set of undirected edges.  Vertex numbering of the extended diagrams is
 fixed once and for all (see :func:`extended_diagram`) so that golden tables
 can be checked row by row.
 
+Each graph builds its adjacency once (:attr:`MarkedGraph.neighbors`), and
+:func:`classify_forest` classifies the graph, or the graph with one vertex
+deleted, straight from it: a deletion is classified in place, without
+building the smaller graph.
+
 Component classification normalizes the two degenerate D shapes: a
 two-vertex "fork" is the forest A1 | A1 and a three-vertex one is A3, so
 :class:`DynkinType` only ever carries D with rank >= 4.
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 ADMISSIBLE_FAMILIES = "(1,p,q), (2,2,r), (2,3,3), (2,3,4), (2,3,5)"
 
@@ -157,6 +163,22 @@ class MarkedGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def neighbors(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's neighbours, built on first use and kept for the graph.
+
+        Not a field, so it plays no part in ``==``, ``hash`` or ``repr``.
+        Callers must not mutate the dict; :func:`classify_forest` copies it.
+
+        >>> MarkedGraph.of([1, 2, 3], [(1, 2)]).neighbors[3]
+        ()
+        """
+        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return {v: tuple(ns) for v, ns in adj.items()}
+
 
 def extended_diagram(triple: OrbifoldTriple) -> MarkedGraph:
     """The extended (affine) diagram attached to an orbifold triple.
@@ -227,25 +249,37 @@ def delete_vertex(graph: MarkedGraph, v: int) -> MarkedGraph:
     )
 
 
-def classify_forest(graph: MarkedGraph) -> DynkinForest:
-    """Classify every component; the empty graph is the empty forest.
+def classify_forest(graph: MarkedGraph, without: int | None = None) -> DynkinForest:
+    """Classify every component of ``graph``, or of ``graph`` minus ``without``.
 
-    One pass: the adjacency is built once, each component is collected by
-    walking it, and each is classified from its degrees.  Paths are A_n.  A
-    unique degree-3 vertex with sorted branch sizes (1,1,m) gives D_{m+3},
-    and (1,2,2)/(1,2,3)/(1,2,4) give E6/E7/E8.  Everything else (a cycle,
-    degree >= 4, two forks, longer branch profiles) raises
+    The empty graph is the empty forest.  The adjacency is the graph's own
+    :attr:`MarkedGraph.neighbors`, built once per graph; deleting
+    ``without`` copies it and drops that vertex from its neighbours' tuples,
+    so a deletion costs O(deg) on top of the walk and no smaller graph is
+    built.  A ``without`` not in the graph raises the :class:`ValueError`
+    that :func:`delete_vertex` raises.
+
+    One walk per component gathers its size, its degree sum and its
+    vertices of degree >= 3, and the type follows from those.  Paths are
+    A_n.  A unique degree-3 vertex with sorted branch sizes (1,1,m) gives
+    D_{m+3}, and (1,2,2)/(1,2,3)/(1,2,4) give E6/E7/E8.  Everything else (a
+    cycle, degree >= 4, two forks, longer branch profiles) raises
     :class:`ClassificationError`; such shapes cannot arise from deleting a
     vertex of an extended diagram, so the error only guards misuse.
 
-    >>> g = delete_vertex(extended_diagram(OrbifoldTriple.of(2, 3, 3)), 5)
-    >>> str(classify_forest(g))
+    >>> g = extended_diagram(OrbifoldTriple.of(2, 3, 3))
+    >>> str(classify_forest(g, without=5))
     'A2 | A2 | A2'
+    >>> classify_forest(g, without=5) == classify_forest(delete_vertex(g, 5))
+    True
     """
-    adj: dict[int, list[int]] = {v: [] for v in graph.vertices}
-    for u, v in graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = graph.neighbors
+    if without is not None:
+        if without not in adj:
+            raise ValueError(f"vertex {without} is not in the graph")
+        adj = dict(adj)
+        for u in adj.pop(without):
+            adj[u] = tuple(x for x in adj[u] if x != without)
     types = []
     seen: set[int] = set()
     for start in adj:
@@ -253,23 +287,34 @@ def classify_forest(graph: MarkedGraph) -> DynkinForest:
             continue
         seen.add(start)
         component = [start]
+        degree_sum = 0
+        forks = []
         for x in component:
-            for y in adj[x]:
+            ns = adj[x]
+            degree = len(ns)
+            degree_sum += degree
+            if degree >= 3:
+                forks.append(x)
+            for y in ns:
                 if y not in seen:
                     seen.add(y)
                     component.append(y)
-        types.append(_tree_type(component, adj))
+        types.append(_tree_type(len(component), degree_sum, forks, adj))
     return DynkinForest.of(types)
 
 
-def _tree_type(component: list[int], adj: dict[int, list[int]]) -> DynkinType:
-    """The Dynkin type of one connected component of a graph with adjacency adj."""
-    n = len(component)
-    if sum(len(adj[v]) for v in component) != 2 * (n - 1):
+def _tree_type(
+    n: int, degree_sum: int, forks: list[int], adj: dict[int, tuple[int, ...]]
+) -> DynkinType:
+    """The Dynkin type of one connected component of a graph with adjacency adj.
+
+    The component has n vertices, the given degree sum, and ``forks`` are
+    its vertices of degree >= 3; only the arms of a fork are walked.
+    """
+    if degree_sum != 2 * (n - 1):
         raise ClassificationError("component is not a tree")
-    if any(len(adj[v]) > 3 for v in component):
+    if any(len(adj[v]) > 3 for v in forks):
         raise ClassificationError("vertex of degree >= 4")
-    forks = [v for v in component if len(adj[v]) == 3]
     if not forks:
         return DynkinType("A", n)
     if len(forks) > 1:

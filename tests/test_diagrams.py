@@ -106,6 +106,35 @@ class TestExtendedDiagram:
             assert len(extended_diagram(t)) == t.mu
 
 
+class TestMarkedGraph:
+    def test_adjacency_is_not_part_of_the_value(self):
+        edges = [(1, 2), (2, 3), (2, 4)]
+        used, fresh = MarkedGraph.of(range(1, 5), edges), MarkedGraph.of(range(1, 5), edges)
+        assert used.neighbors[2]
+        assert "neighbors" in vars(used) and "neighbors" not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+    def test_every_edge_in_both_neighbor_tuples(self):
+        for t in admissible_triples(8):
+            g = extended_diagram(t)
+            assert set(g.neighbors) == g.vertices
+            assert sum(map(len, g.neighbors.values())) == 2 * len(g.edges)
+            for u, v in g.edges:
+                assert v in g.neighbors[u] and u in g.neighbors[v], (t, u, v)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ({(2, 2)}, r"loop at vertex 2"),
+            ({(3, 1)}, r"edge \(3, 1\) not stored low-high"),
+            ({(1, 7)}, r"edge \(1, 7\) leaves the vertex set"),
+        ],
+    )
+    def test_invalid_edges_are_refused(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MarkedGraph(frozenset({1, 2, 3}), frozenset(edges))
+
+
 class TestDeleteAndClassify:
     def test_e6_affine_minus_center(self):
         g = extended_diagram(OrbifoldTriple.of(2, 3, 3))
@@ -122,8 +151,10 @@ class TestDeleteAndClassify:
 
     def test_unknown_vertex(self):
         g = extended_diagram(OrbifoldTriple.of(2, 2, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vertex 99 is not in the graph"):
             delete_vertex(g, 99)
+        with pytest.raises(ValueError, match="vertex 99 is not in the graph"):
+            classify_forest(g, without=99)
 
     def test_e7_affine_minus_v5(self):
         g = extended_diagram(OrbifoldTriple.of(2, 3, 4))
@@ -144,20 +175,41 @@ class TestDeleteAndClassify:
         assert classify_forest(delete_vertex(g, 3)) == forest("A1", "A1", "A3")
 
     def test_rejects_non_dynkin_shapes(self):
-        star5 = MarkedGraph.of(range(6), [(0, k) for k in range(1, 6)])
-        with pytest.raises(ClassificationError):
-            classify_forest(star5)
-        two_forks = MarkedGraph.of(
-            range(8), [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 6), (6, 7)]
-        )
-        with pytest.raises(ClassificationError):
-            classify_forest(two_forks)
-        cycle = MarkedGraph.of(range(3), [(0, 1), (1, 2), (0, 2)])
-        with pytest.raises(ClassificationError):
-            classify_forest(cycle)
-        wide_e = MarkedGraph.of(range(9), [(i, i + 1) for i in range(7)] + [(3, 8)])
-        with pytest.raises(ClassificationError):
-            classify_forest(wide_e)  # branch profile (1,3,4) is not Dynkin
+        """Each shape raises its message alone, with an extra vertex deleted
+        in place, and with that vertex deleted by delete_vertex."""
+        shapes = [
+            (range(6), [(0, k) for k in range(1, 6)], "vertex of degree >= 4"),
+            (range(8), [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 6), (6, 7)],
+             "two fork vertices"),
+            (range(3), [(0, 1), (1, 2), (0, 2)], "component is not a tree"),
+            (range(9), [(i, i + 1) for i in range(7)] + [(3, 8)],
+             "branch profile (1, 3, 4) is not Dynkin"),
+        ]
+        for vertices, edges, message in shapes:
+            shape = MarkedGraph.of(vertices, edges)
+            extra = MarkedGraph.of([*vertices, 99], [*edges, (0, 99)])
+            for call in (
+                lambda: classify_forest(shape),
+                lambda: classify_forest(extra, without=99),
+                lambda: classify_forest(delete_vertex(extra, 99)),
+            ):
+                with pytest.raises(ClassificationError) as err:
+                    call()
+                assert str(err.value) == message
+
+
+def test_deletion_in_place_matches_delete_vertex():
+    """Classifying ``g - v`` in place gives the forest of the graph that
+    delete_vertex builds, for every vertex of every graph checked."""
+    graphs = (
+        [extended_diagram(t) for t in admissible_triples(14)]
+        + [dynkin_diagram(DynkinType("A", n)) for n in range(1, 31)]
+        + [dynkin_diagram(DynkinType("D", n)) for n in range(4, 31)]
+        + [dynkin_diagram(DynkinType("E", n)) for n in (6, 7, 8)]
+    )
+    for g in graphs:
+        for v in g.vertices:
+            assert classify_forest(g, without=v) == classify_forest(delete_vertex(g, v)), (g, v)
 
 
 class TestDeletionSweep:
@@ -225,7 +277,8 @@ DYNKIN_TYPES = (
 @given(st.lists(st.sampled_from(DYNKIN_TYPES), max_size=6), st.randoms())
 def test_classify_forest_recovers_shuffled_disjoint_union(types, rnd):
     """A disjoint union of Dynkin diagrams, relabelled at random, classifies
-    back to exactly its forest."""
+    back to exactly its forest; deleting a random vertex in place agrees
+    with delete_vertex."""
     labels = list(range(sum(t.rank for t in types)))
     rnd.shuffle(labels)
     vertices, edges, offset = [], [], 0
@@ -235,4 +288,8 @@ def test_classify_forest_recovers_shuffled_disjoint_union(types, rnd):
         vertices += relabel.values()
         edges += [(relabel[u], relabel[v]) for u, v in g.edges]
         offset += t.rank
-    assert classify_forest(MarkedGraph.of(vertices, edges)) == DynkinForest.of(types)
+    union = MarkedGraph.of(vertices, edges)
+    assert classify_forest(union) == DynkinForest.of(types)
+    if vertices:
+        v = rnd.choice(vertices)
+        assert classify_forest(union, without=v) == classify_forest(delete_vertex(union, v))
