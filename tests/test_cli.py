@@ -365,9 +365,7 @@ def _transcript() -> dict[str, str]:
     return cases
 
 
-@pytest.mark.parametrize(
-    "command, expected", [pytest.param(c, e, id=c) for c, e in _transcript().items()]
-)
+@pytest.mark.parametrize("command, expected", _transcript().items(), ids=str)
 def test_stdout_is_pinned(capsys, command, expected):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0 and scrub_elapsed(out) == expected
