@@ -10,16 +10,18 @@ test suite insists on it.
 Both recursions share one kernel: :func:`deletion_counts` gives the forest
 count left by deleting each vertex, :func:`affine_parts` adds the branch
 term of each orbifold point and depth, and :func:`affine_total` assembles
-the triple's count from those parts.  The diagram's adjacency is built once,
-and each deletion is classified in place from it, without building the
-smaller graph.  The golden tables in
-:mod:`fecount.verify` read the same parts, so they check the live recursion.
+the triple's count from those parts.  The diagram's adjacency and
+classified components are built once, each deletion is classified in place
+from them (a cycle's deletions without a walk), and each distinct forest is
+counted once per diagram.  The golden tables in :mod:`fecount.verify` read
+the same parts, so they check the live recursion.
 
 Every routine works in exact integers/rationals and asserts integrality of
 rational totals (raising :class:`fecount.arith.NonIntegralError` rather than
 rounding).  The recursion over triples is memoized through
-:class:`CountCache`, which may be shared between threads and persisted to a
-small text file.
+:class:`CountCache`, keyed by the canonical orders tuple, so a sub-triple
+served from the memo is never built as an :class:`OrbifoldTriple`.  The
+cache may be shared between threads and persisted to a small text file.
 """
 from __future__ import annotations
 
@@ -120,10 +122,21 @@ def e_forest(forest: DynkinForest) -> int:
 def deletion_counts(graph: MarkedGraph) -> list[int]:
     """Forest count left by deleting each vertex, in label order.
 
-    Every deletion is classified in place from the graph's one adjacency
-    (``classify_forest(graph, without=v)``); no smaller graph is built.
+    Every deletion is classified in place from the graph's components,
+    classified once (``classify_forest(graph, without=v)``); no smaller
+    graph is built.  Each distinct forest is counted once, so the m
+    deletions of an m-cycle, which all leave A_{m-1}, cost one
+    :func:`e_forest`.
     """
-    return [e_forest(classify_forest(graph, without=v)) for v in sorted(graph.vertices)]
+    counts: dict[DynkinForest, int] = {}
+    found = []
+    for v in sorted(graph.vertices):
+        forest = classify_forest(graph, without=v)
+        count = counts.get(forest)
+        if count is None:
+            count = counts[forest] = e_forest(forest)
+        found.append(count)
+    return found
 
 
 def e_dynkin_recursive(dtype: DynkinType) -> int:
@@ -144,33 +157,36 @@ def e_dynkin_recursive(dtype: DynkinType) -> int:
 class CountCache:
     """Memo for the triple recursion: one count per orbifold triple.
 
+    Counts are keyed by the canonical (ascending) orders tuple of a triple,
+    ``OrbifoldTriple.orders``, so a lookup needs no :class:`OrbifoldTriple`.
     Reads are lock-free (a plain dict lookup); writes and the ``hits``/
     ``misses`` lookup counters are serialized, so concurrent use is safe,
     always yields the same values as a fresh cache, and counts every lookup.
     """
 
     def __init__(self) -> None:
-        self._affine: dict[OrbifoldTriple, int] = {}
+        self._affine: dict[tuple[int, int, int], int] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def get_affine(self, triple: OrbifoldTriple) -> int | None:
-        value = self._affine.get(triple)
+    def get_affine(self, orders: tuple[int, int, int]) -> int | None:
+        value = self._affine.get(orders)
         with self._lock:
             if value is None:
                 self.misses += 1
                 return None
             self.hits += 1
-        log.debug("cache hit: %s -> %d", triple, value)
+        log.debug("cache hit: (%d,%d,%d) -> %d", *orders, value)
         return value
 
-    def put_affine(self, triple: OrbifoldTriple, value: int) -> None:
+    def put_affine(self, orders: tuple[int, int, int], value: int) -> None:
         with self._lock:
-            self._affine[triple] = value
+            self._affine[orders] = value
 
     def items(self) -> list[tuple[OrbifoldTriple, int]]:
-        return sorted(self._affine.items(), key=lambda kv: kv[0].orders)
+        """The cached counts as (triple, count) pairs, sorted by orders."""
+        return [(OrbifoldTriple(orders), v) for orders, v in sorted(self._affine.items())]
 
     def __len__(self) -> int:
         return len(self._affine)
@@ -184,7 +200,8 @@ def save_cache(cache: CountCache, path: str | Path) -> None:
     leaves a partial file behind.
     """
     text = "".join(
-        "{},{},{} -> {}\n".format(*t.orders, render_decimal(v)) for t, v in cache.items()
+        "{},{},{} -> {}\n".format(*orders, render_decimal(v))
+        for orders, v in sorted(cache._affine.items())
     )
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -221,7 +238,7 @@ def load_cache(path: str | Path) -> CountCache:
             )
     cache = CountCache()
     for triple, (count, _) in counts.items():
-        cache.put_affine(triple, count)
+        cache.put_affine(triple.orders, count)
     return cache
 
 
@@ -248,11 +265,16 @@ def e_affine(triple: OrbifoldTriple, cache: CountCache | None = None) -> int:
 
 
 def _e_affine(triple: OrbifoldTriple, cache: CountCache) -> int:
-    memo = cache.get_affine(triple)
+    memo = cache.get_affine(triple.orders)
     if memo is not None:
         return memo
+    return _e_affine_miss(triple, cache)
+
+
+def _e_affine_miss(triple: OrbifoldTriple, cache: CountCache) -> int:
+    """Compute a triple's count that ``cache`` does not hold, and store it."""
     value = affine_total(triple, *affine_parts(triple, cache))
-    cache.put_affine(triple, value)
+    cache.put_affine(triple.orders, value)
     return value
 
 
@@ -266,17 +288,26 @@ def affine_parts(
     orbifold point i (1-based) and depth 1 <= j <= a_i - 1, where term is
     C(mu-1, a_i-j-1) times the count for the triple with a_i lowered to j
     times the count for a path on a_i-j-1 vertices (1 when empty).
-    Sub-triple counts go through ``cache``.
+    Sub-triple counts go through ``cache``, looked up by their sorted
+    orders; an :class:`OrbifoldTriple` is built only for a sub-triple the
+    cache does not hold.
     """
     deletions = deletion_counts(extended_diagram(triple))
+    orders = triple.orders
     mu = triple.mu
+    # weight[r] = C(mu-1, r) times the count for a path on r vertices.
+    weight = [1] + [
+        binomial(mu - 1, r) * e_dynkin_closed(DynkinType("A", r)) for r in range(1, orders[2] - 1)
+    ]
     branches = []
-    for i, a_i in enumerate(triple.orders, start=1):
+    for i, a_i in enumerate(orders, start=1):
+        others = orders[: i - 1] + orders[i:]
         for j in range(1, a_i):
-            tail_rank = a_i - j - 1
-            tail = 1 if tail_rank == 0 else e_dynkin_closed(DynkinType("A", tail_rank))
-            sub = _e_affine(triple.with_order(i - 1, j), cache)
-            branches.append((i, j, binomial(mu - 1, tail_rank) * sub * tail))
+            sub_orders = tuple(sorted((j, *others)))
+            sub = cache.get_affine(sub_orders)
+            if sub is None:
+                sub = _e_affine_miss(OrbifoldTriple(sub_orders), cache)
+            branches.append((i, j, weight[a_i - j - 1] * sub))
     return deletions, branches
 
 

@@ -6,10 +6,16 @@ a set of undirected edges.  Vertex numbering of the extended diagrams is
 fixed once and for all (see :func:`extended_diagram`) so that golden tables
 can be checked row by row.
 
-Each graph builds its adjacency once (:attr:`MarkedGraph.neighbors`), and
+Each graph builds its adjacency (:attr:`MarkedGraph.neighbors`) and its
+classified components (:attr:`MarkedGraph.components`) once, and
 :func:`classify_forest` classifies the graph, or the graph with one vertex
-deleted, straight from it: a deletion is classified in place, without
-building the smaller graph.
+deleted, from them: a deletion is classified in place, without building the
+smaller graph.  Deleting a vertex of an m-cycle leaves A_{m-1}, so it needs
+no walk; any other component of the deleted vertex is walked again, and
+every component the deletion leaves whole keeps its type.
+
+Ranks and orbifold orders are plain ints: a bool or a float is refused with
+a :class:`ValueError`, so it can never reach a count or its printout.
 
 Component classification normalizes the two degenerate D shapes: a
 two-vertex "fork" is the forest A1 | A1 and a three-vertex one is A3, so
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator, NamedTuple
 
 ADMISSIBLE_FAMILIES = "(1,p,q), (2,2,r), (2,3,3), (2,3,4), (2,3,5)"
 
@@ -38,6 +45,8 @@ class DynkinType:
     rank: int
 
     def __post_init__(self) -> None:
+        if type(self.rank) is not int:
+            raise ValueError(f"rank must be an int, got {self.rank!r}")
         if self.family == "A":
             ok = self.rank >= 1
         elif self.family == "D":
@@ -100,7 +109,7 @@ class OrbifoldTriple:
 
     def __post_init__(self) -> None:
         a = self.orders
-        if len(a) != 3 or any(not isinstance(x, int) or x < 1 for x in a):
+        if len(a) != 3 or any(type(x) is not int or x < 1 for x in a):
             raise ValueError(f"orders must be three positive integers, got {a}")
         if tuple(sorted(a)) != a:
             raise ValueError(f"orders must be sorted ascending, got {a}; use OrbifoldTriple.of")
@@ -125,18 +134,18 @@ class OrbifoldTriple:
         """Length of a complete collection: a1 + a2 + a3 - 1."""
         return sum(self.orders) - 1
 
-    def with_order(self, i: int, j: int) -> "OrbifoldTriple":
-        """Replace the i-th order (0-based) by j and re-canonicalize.
-
-        >>> OrbifoldTriple.of(2, 3, 5).with_order(2, 1).orders
-        (1, 2, 3)
-        """
-        a = list(self.orders)
-        a[i] = j
-        return OrbifoldTriple.of(*a)
-
     def __str__(self) -> str:
         return "({},{},{})".format(*self.orders)
+
+
+class Component(NamedTuple):
+    """One connected component of a :class:`MarkedGraph`, classified once."""
+
+    vertices: frozenset[int]
+    kind: DynkinType | str  # its type, or the ClassificationError message
+    # For a cycle: the graph's forest once any one of its vertices is
+    # deleted, or the message that classifying it raises.  None otherwise.
+    cut: DynkinForest | str | None
 
 
 @dataclass(frozen=True)
@@ -178,6 +187,36 @@ class MarkedGraph:
             adj[u].append(v)
             adj[v].append(u)
         return {v: tuple(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        """The connected components, each classified once and kept for the graph.
+
+        They come in the order of their first vertex in :attr:`neighbors`,
+        the order in which a walk of the whole graph meets them.  A
+        component that is not a Dynkin tree keeps its error message, so
+        that it raises only when a classification includes it.
+
+        >>> [(sorted(c.vertices), str(c.kind)) for c in MarkedGraph.of([1, 2], []).components]
+        [([1], 'A1'), ([2], 'A1')]
+        """
+        adj = self.neighbors
+        vertex_sets, kinds, cycles = [], [], []
+        for vertices, degree_sum, forks in _walk(adj, set()):
+            vertex_sets.append(frozenset(vertices))
+            try:
+                kinds.append(_tree_type(len(vertices), degree_sum, forks, adj))
+            except ClassificationError as exc:
+                kinds.append(str(exc))
+            # Connected with every degree 2 (so at least 3 vertices): a cycle.
+            cycles.append(not forks and degree_sum == 2 * len(vertices))
+        found = []
+        for i, (vertices, kind, cycle) in enumerate(zip(vertex_sets, kinds, cycles)):
+            cut = None
+            if cycle:
+                cut = _forest([*kinds[:i], DynkinType("A", len(vertices) - 1), *kinds[i + 1 :]])
+            found.append(Component(vertices, kind, cut))
+        return tuple(found)
 
 
 def extended_diagram(triple: OrbifoldTriple) -> MarkedGraph:
@@ -252,36 +291,87 @@ def delete_vertex(graph: MarkedGraph, v: int) -> MarkedGraph:
 def classify_forest(graph: MarkedGraph, without: int | None = None) -> DynkinForest:
     """Classify every component of ``graph``, or of ``graph`` minus ``without``.
 
-    The empty graph is the empty forest.  The adjacency is the graph's own
-    :attr:`MarkedGraph.neighbors`, built once per graph; deleting
-    ``without`` copies it and drops that vertex from its neighbours' tuples,
-    so a deletion costs O(deg) on top of the walk and no smaller graph is
-    built.  A ``without`` not in the graph raises the :class:`ValueError`
-    that :func:`delete_vertex` raises.
+    The empty graph is the empty forest.  The graph's components are walked
+    and classified once per graph (:attr:`MarkedGraph.components`), and a
+    classification reuses every component it leaves whole.  Deleting
+    ``without`` from a cycle of m vertices leaves A_{m-1} with no walk.
+    Deleting it from any other component patches a copy of
+    :attr:`MarkedGraph.neighbors`, dropping that vertex from its
+    neighbours' tuples (O(deg)), and walks what is left of that component
+    again; no smaller graph is built.  A ``without`` not in the graph
+    raises the :class:`ValueError` that :func:`delete_vertex` raises.
 
     One walk per component gathers its size, its degree sum and its
     vertices of degree >= 3, and the type follows from those.  Paths are
     A_n.  A unique degree-3 vertex with sorted branch sizes (1,1,m) gives
     D_{m+3}, and (1,2,2)/(1,2,3)/(1,2,4) give E6/E7/E8.  Everything else (a
     cycle, degree >= 4, two forks, longer branch profiles) raises
-    :class:`ClassificationError`; such shapes cannot arise from deleting a
-    vertex of an extended diagram, so the error only guards misuse.
+    :class:`ClassificationError`, with the message of the first such
+    component in :attr:`MarkedGraph.neighbors` order.  Such shapes cannot
+    arise from deleting a vertex of an extended diagram, so the error only
+    guards misuse.
 
     >>> g = extended_diagram(OrbifoldTriple.of(2, 3, 3))
     >>> str(classify_forest(g, without=5))
     'A2 | A2 | A2'
     >>> classify_forest(g, without=5) == classify_forest(delete_vertex(g, 5))
     True
+    >>> str(classify_forest(extended_diagram(OrbifoldTriple.of(1, 3, 4)), without=2))
+    'A6'
     """
-    adj = graph.neighbors
-    if without is not None:
-        if without not in adj:
+    components = graph.components
+    if without is None:
+        found = _forest([c.kind for c in components])
+    else:
+        if without not in graph.neighbors:
             raise ValueError(f"vertex {without} is not in the graph")
-        adj = dict(adj)
-        for u in adj.pop(without):
-            adj[u] = tuple(x for x in adj[u] if x != without)
-    types = []
-    seen: set[int] = set()
+        for own in components:
+            if without in own.vertices:
+                break
+        if own.cut is None:
+            return _walk_deletion(graph, own, without)
+        found = own.cut
+    if isinstance(found, str):
+        raise ClassificationError(found)
+    return found
+
+
+def _walk_deletion(graph: MarkedGraph, own: Component, without: int) -> DynkinForest:
+    """Classify ``graph`` minus ``without``, whose component ``own`` is no cycle.
+
+    Only what is left of ``own`` is walked, in :attr:`MarkedGraph.neighbors`
+    order.  If another component is bad, the whole graph is walked instead,
+    so that the first bad piece or component raises.
+    """
+    adj = dict(graph.neighbors)
+    for u in adj.pop(without):
+        adj[u] = tuple(x for x in adj[u] if x != without)
+    others = [c for c in graph.components if c is not own]
+    kinds, seen = [], {without}
+    if not any(isinstance(c.kind, str) for c in others):
+        kinds = [c.kind for c in others]
+        seen.update(*(c.vertices for c in others))
+    for vertices, degree_sum, forks in _walk(adj, seen):
+        kinds.append(_tree_type(len(vertices), degree_sum, forks, adj))
+    return DynkinForest.of(kinds)
+
+
+def _forest(kinds: list[DynkinType | str]) -> DynkinForest | str:
+    """The forest of the given types, or the first error message among them."""
+    for k in kinds:
+        if isinstance(k, str):
+            return k
+    return DynkinForest.of(kinds)
+
+
+def _walk(
+    adj: dict[int, tuple[int, ...]], seen: set[int]
+) -> Iterator[tuple[list[int], int, list[int]]]:
+    """Walk each component of adj not yet ``seen``, in the order of adj.
+
+    Yields the component's vertices, its degree sum and its vertices of
+    degree >= 3, and marks its vertices seen.
+    """
     for start in adj:
         if start in seen:
             continue
@@ -299,8 +389,7 @@ def classify_forest(graph: MarkedGraph, without: int | None = None) -> DynkinFor
                 if y not in seen:
                     seen.add(y)
                     component.append(y)
-        types.append(_tree_type(len(component), degree_sum, forks, adj))
-    return DynkinForest.of(types)
+        yield component, degree_sum, forks
 
 
 def _tree_type(

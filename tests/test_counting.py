@@ -18,6 +18,7 @@ from fecount.counting import (
     coxeter_number,
     deg_ll_affine,
     deg_ll_dynkin,
+    deletion_counts,
     e_affine,
     e_affine_closed,
     e_dynkin_closed,
@@ -27,7 +28,15 @@ from fecount.counting import (
     load_cache,
     save_cache,
 )
-from fecount.diagrams import DynkinForest, DynkinType, OrbifoldTriple
+from fecount.diagrams import (
+    DynkinForest,
+    DynkinType,
+    OrbifoldTriple,
+    classify_forest,
+    delete_vertex,
+    dynkin_diagram,
+    extended_diagram,
+)
 
 ALL_TYPES = (
     [DynkinType("A", n) for n in range(1, 10)]
@@ -196,7 +205,7 @@ class TestCache:
         path = tmp_path / "counts.txt"
         count = 10**4999 + 12345  # 5000 digits
         cache = CountCache()
-        cache.put_affine(OrbifoldTriple.of(1, 1, 1), count)
+        cache.put_affine((1, 1, 1), count)
         save_cache(cache, path)
         assert path.read_text() == "1,1,1 -> 1" + "0" * 4994 + "12345\n"
         assert load_cache(path).items() == [(OrbifoldTriple.of(1, 1, 1), count)]
@@ -264,7 +273,7 @@ class TestCache:
                 time.sleep(0)
                 return YieldingInt(int(self) + other)
 
-        present, absent = OrbifoldTriple.of(1, 1, 1), OrbifoldTriple.of(1, 1, 2)
+        present, absent = (1, 1, 1), (1, 1, 2)
         cache = CountCache()
         cache.put_affine(present, 1)
         cache.hits = cache.misses = YieldingInt(0)
@@ -289,6 +298,25 @@ class TestCache:
         assert cache.hits + cache.misses == 2 * rounds * workers
         assert cache.hits == cache.misses == rounds * workers
 
+    def test_cold_recursion_builds_a_triple_only_per_miss(self, monkeypatch):
+        """Sub-triples are looked up by their orders: the lookup counts are
+        those of one lookup per branch term, and an OrbifoldTriple is built
+        (and validated) only for a triple the cache does not hold."""
+        built = []
+        validate = OrbifoldTriple.__post_init__
+
+        def counted(triple):
+            built.append(triple.orders)
+            validate(triple)
+
+        monkeypatch.setattr(OrbifoldTriple, "__post_init__", counted)
+        cache = CountCache()
+        count = e_affine(OrbifoldTriple.of(1, 11, 28), cache)
+        assert (cache.hits, cache.misses) == (4896, 253)
+        assert len(built) <= 253 and len(set(built)) == len(built)
+        assert sorted(built) == [t.orders for t, _ in cache.items()]
+        assert count == e_affine_closed(OrbifoldTriple.of(1, 11, 28))
+
     def test_concurrent_use_is_deterministic(self):
         cache = CountCache()
         triples = list(admissible_triples(12))
@@ -304,6 +332,21 @@ class TestCache:
             th.join()
         fresh = [e_affine(t) for t in triples]
         assert all(results[i] == fresh for i in range(4))
+
+
+def test_deletion_counts_match_the_delete_vertex_route():
+    """The in-place kernel (cycles classified once, one e_forest per
+    distinct forest) gives, vertex by vertex, what building each deleted
+    graph and classifying it gives."""
+    graphs = (
+        [extended_diagram(t) for t in admissible_triples(24)]
+        + [dynkin_diagram(DynkinType("A", n)) for n in range(1, 61)]
+        + [dynkin_diagram(DynkinType("D", n)) for n in range(4, 61)]
+        + [dynkin_diagram(DynkinType("E", n)) for n in (6, 7, 8)]
+    )
+    for g in graphs:
+        built = [e_forest(classify_forest(delete_vertex(g, v))) for v in sorted(g.vertices)]
+        assert deletion_counts(g) == built, g
 
 
 class TestIntegrality:

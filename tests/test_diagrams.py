@@ -44,6 +44,11 @@ class TestDynkinType:
         with pytest.raises(ValueError):
             T(tok)
 
+    @pytest.mark.parametrize("rank", [2.0, True, "2", None])
+    def test_rejects_non_int_ranks(self, rank):
+        with pytest.raises(ValueError, match=f"^rank must be an int, got {rank!r}$"):
+            DynkinType("A", rank)
+
     def test_ordering_is_deterministic(self):
         types = [T("E6"), T("A5"), T("D4"), T("A1")]
         assert [str(t) for t in sorted(types)] == ["A1", "A5", "D4", "E6"]
@@ -73,10 +78,10 @@ class TestOrbifoldTriple:
         assert t.mu == 9
         assert t.chi == Fraction(1, 30)
 
-    def test_with_order_recanonicalizes(self):
-        t = OrbifoldTriple.of(2, 3, 5)
-        assert t.with_order(2, 1).orders == (1, 2, 3)
-        assert t.with_order(1, 2).orders == (2, 2, 5)
+    @pytest.mark.parametrize("orders", [(True, 2, 3), (1, 1, True), (2.0, 3, 3), (2, 3, 5.0)])
+    def test_rejects_non_int_orders(self, orders):
+        with pytest.raises(ValueError, match=r"^orders must be three positive integers, got"):
+            OrbifoldTriple.of(*orders)
 
 
 class TestExtendedDiagram:
@@ -110,8 +115,9 @@ class TestMarkedGraph:
     def test_adjacency_is_not_part_of_the_value(self):
         edges = [(1, 2), (2, 3), (2, 4)]
         used, fresh = MarkedGraph.of(range(1, 5), edges), MarkedGraph.of(range(1, 5), edges)
-        assert used.neighbors[2]
+        assert used.neighbors[2] and used.components[0].kind == DynkinType("D", 4)
         assert "neighbors" in vars(used) and "neighbors" not in vars(fresh)
+        assert "components" in vars(used) and "components" not in vars(fresh)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
     def test_every_edge_in_both_neighbor_tuples(self):
@@ -293,3 +299,49 @@ def test_classify_forest_recovers_shuffled_disjoint_union(types, rnd):
     if vertices:
         v = rnd.choice(vertices)
         assert classify_forest(union, without=v) == classify_forest(delete_vertex(union, v))
+
+
+def _shuffled_union(parts, rnd):
+    """A disjoint union of graphs given as (vertex count, edges on 1..count),
+    relabelled by a random permutation and listed in a random order."""
+    labels = list(range(sum(n for n, _ in parts)))
+    rnd.shuffle(labels)
+    vertices, edges, offset = [], [], 0
+    for n, part_edges in parts:
+        vertices += labels[offset:offset + n]
+        edges += [(labels[offset + u - 1], labels[offset + v - 1]) for u, v in part_edges]
+        offset += n
+    rnd.shuffle(vertices)
+    rnd.shuffle(edges)
+    return MarkedGraph.of(vertices, edges)
+
+
+def _classify_or_message(call):
+    try:
+        return call()
+    except ClassificationError as exc:
+        return f"ClassificationError: {exc}"
+
+
+@given(
+    st.lists(st.sampled_from(DYNKIN_TYPES[:12] + DYNKIN_TYPES[30:36] + DYNKIN_TYPES[-3:]),
+             max_size=4),
+    st.lists(st.integers(3, 12), min_size=1, max_size=2),
+    st.randoms(),
+)
+def test_deletions_with_cycle_components(types, cycle_lengths, rnd):
+    """Dynkin trees plus one or two cycles, shuffled: every in-place deletion
+    classifies as the graph delete_vertex builds, or raises the same
+    ClassificationError (a cycle that survives the deletion)."""
+    parts = [(t.rank, dynkin_diagram(t).edges) for t in types]
+    parts += [(m, [(i, i % m + 1) for i in range(1, m + 1)]) for m in cycle_lengths]
+    rnd.shuffle(parts)
+    g = _shuffled_union(parts, rnd)
+    for v in g.vertices:
+        in_place = _classify_or_message(lambda: classify_forest(g, without=v))
+        built = _classify_or_message(lambda: classify_forest(delete_vertex(g, v)))
+        assert in_place == built, (g, v)
+    if len(cycle_lengths) == 1:
+        (cycle,) = [c for c in g.components if c.cut is not None]
+        cut = DynkinForest.of([*types, DynkinType("A", cycle_lengths[0] - 1)])
+        assert all(classify_forest(g, without=v) == cut for v in cycle.vertices)
