@@ -88,12 +88,14 @@ def _read_numbers(args: argparse.Namespace) -> None:
 
 
 def _parse_dynkin_args(tokens: list[str]) -> DynkinType:
-    """Accept either one token "A5" or two tokens "A 5"."""
+    """Accept either one token "A5" or two tokens "A 5", a family letter then a rank."""
     try:
         if len(tokens) == 1:
             return DynkinType.parse(tokens[0])
-        if len(tokens) == 2 and tokens[1].isascii() and tokens[1].isdigit():
-            return DynkinType.parse(tokens[0] + tokens[1])
+        if len(tokens) == 2:
+            family, rank = tokens
+            if family.upper() in ("A", "D", "E") and rank.isascii() and rank.isdigit():
+                return DynkinType.parse(family + rank)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     raise CliError(f"expected a type like 'A5' or 'A 5', got {tokens!r}")

@@ -10,11 +10,12 @@ test suite insists on it.
 Both recursions share one kernel: :func:`deletion_counts` gives the forest
 count left by deleting each vertex, :func:`affine_parts` adds the branch
 term of each orbifold point and depth, and :func:`affine_total` assembles
-the triple's count from those parts.  The diagram's adjacency and
-classified components are built once, each deletion is classified in place
-from them (a cycle's deletions without a walk), and each distinct forest is
-counted once per diagram.  The golden tables in :mod:`fecount.verify` read
-the same parts, so they check the live recursion.
+the triple's count from those parts.  The diagram's adjacency is built
+once, each deletion is classified in place with one walk of what it leaves
+(a cycle's deletions reuse one cached cut, without a walk), and each
+distinct forest is counted once per diagram.  The golden tables in
+:mod:`fecount.verify` read the same parts, so they check the live
+recursion.
 
 Every routine works in exact integers/rationals and asserts integrality of
 rational totals (raising :class:`fecount.arith.NonIntegralError` rather than
@@ -122,11 +123,11 @@ def e_forest(forest: DynkinForest) -> int:
 def deletion_counts(graph: MarkedGraph) -> list[int]:
     """Forest count left by deleting each vertex, in label order.
 
-    Every deletion is classified in place from the graph's components,
-    classified once (``classify_forest(graph, without=v)``); no smaller
-    graph is built.  Each distinct forest is counted once, so the m
-    deletions of an m-cycle, which all leave A_{m-1}, cost one
-    :func:`e_forest`.
+    Every deletion is classified in place, with one walk of what it leaves
+    (``classify_forest(graph, without=v)``); no smaller graph is built.  The
+    m deletions of an m-cycle all return the graph's cached cut A_{m-1}
+    with no walk.  Each distinct forest is counted once, so those m
+    deletions cost one :func:`e_forest`.
     """
     counts: dict[DynkinForest, int] = {}
     found = []
@@ -261,10 +262,6 @@ def e_affine(triple: OrbifoldTriple, cache: CountCache | None = None) -> int:
     """
     if cache is None:
         cache = CountCache()
-    return _e_affine(triple, cache)
-
-
-def _e_affine(triple: OrbifoldTriple, cache: CountCache) -> int:
     memo = cache.get_affine(triple.orders)
     if memo is not None:
         return memo

@@ -6,13 +6,12 @@ a set of undirected edges.  Vertex numbering of the extended diagrams is
 fixed once and for all (see :func:`extended_diagram`) so that golden tables
 can be checked row by row.
 
-Each graph builds its adjacency (:attr:`MarkedGraph.neighbors`) and its
-classified components (:attr:`MarkedGraph.components`) once, and
+Each graph builds its adjacency (:attr:`MarkedGraph.neighbors`) once, and
 :func:`classify_forest` classifies the graph, or the graph with one vertex
-deleted, from them: a deletion is classified in place, without building the
-smaller graph.  Deleting a vertex of an m-cycle leaves A_{m-1}, so it needs
-no walk; any other component of the deleted vertex is walked again, and
-every component the deletion leaves whole keeps its type.
+deleted, with one walk of it: a deletion is classified in place, without
+building the smaller graph.  Deleting any vertex of a graph that is a single
+m-cycle leaves A_{m-1}; that forest (:attr:`MarkedGraph.cycle_cut`) is built
+once per graph, so a cycle's deletions need no walk at all.
 
 Ranks and orbifold orders are plain ints: a bool or a float is refused with
 a :class:`ValueError`, so it can never reach a count or its printout.
@@ -26,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 ADMISSIBLE_FAMILIES = "(1,p,q), (2,2,r), (2,3,3), (2,3,4), (2,3,5)"
 
@@ -138,16 +137,6 @@ class OrbifoldTriple:
         return "({},{},{})".format(*self.orders)
 
 
-class Component(NamedTuple):
-    """One connected component of a :class:`MarkedGraph`, classified once."""
-
-    vertices: frozenset[int]
-    kind: DynkinType | str  # its type, or the ClassificationError message
-    # For a cycle: the graph's forest once any one of its vertices is
-    # deleted, or the message that classifying it raises.  None otherwise.
-    cut: DynkinForest | str | None
-
-
 @dataclass(frozen=True)
 class MarkedGraph:
     """A finite simple graph: integer vertex labels, undirected edges."""
@@ -189,34 +178,23 @@ class MarkedGraph:
         return {v: tuple(ns) for v, ns in adj.items()}
 
     @cached_property
-    def components(self) -> tuple[Component, ...]:
-        """The connected components, each classified once and kept for the graph.
+    def cycle_cut(self) -> DynkinForest | None:
+        """A_{m-1} when the whole graph is a single m-cycle, else None.
 
-        They come in the order of their first vertex in :attr:`neighbors`,
-        the order in which a walk of the whole graph meets them.  A
-        component that is not a Dynkin tree keeps its error message, so
-        that it raises only when a classification includes it.
+        Deleting any vertex of an m-cycle (connected, every degree 2, so
+        m >= 3) leaves the path A_{m-1}.  Built on first use and kept for the
+        graph, so every deletion from a cycle returns this one object.  Not
+        a field, like :attr:`neighbors`.
 
-        >>> [(sorted(c.vertices), str(c.kind)) for c in MarkedGraph.of([1, 2], []).components]
-        [([1], 'A1'), ([2], 'A1')]
+        >>> str(extended_diagram(OrbifoldTriple.of(1, 2, 3)).cycle_cut)
+        'A4'
         """
         adj = self.neighbors
-        vertex_sets, kinds, cycles = [], [], []
-        for vertices, degree_sum, forks in _walk(adj, set()):
-            vertex_sets.append(frozenset(vertices))
-            try:
-                kinds.append(_tree_type(len(vertices), degree_sum, forks, adj))
-            except ClassificationError as exc:
-                kinds.append(str(exc))
-            # Connected with every degree 2 (so at least 3 vertices): a cycle.
-            cycles.append(not forks and degree_sum == 2 * len(vertices))
-        found = []
-        for i, (vertices, kind, cycle) in enumerate(zip(vertex_sets, kinds, cycles)):
-            cut = None
-            if cycle:
-                cut = _forest([*kinds[:i], DynkinType("A", len(vertices) - 1), *kinds[i + 1 :]])
-            found.append(Component(vertices, kind, cut))
-        return tuple(found)
+        if adj and all(len(ns) == 2 for ns in adj.values()):
+            vertices, _, _ = next(_walk(adj))
+            if len(vertices) == len(adj):
+                return DynkinForest((DynkinType("A", len(adj) - 1),))
+        return None
 
 
 def extended_diagram(triple: OrbifoldTriple) -> MarkedGraph:
@@ -291,25 +269,23 @@ def delete_vertex(graph: MarkedGraph, v: int) -> MarkedGraph:
 def classify_forest(graph: MarkedGraph, without: int | None = None) -> DynkinForest:
     """Classify every component of ``graph``, or of ``graph`` minus ``without``.
 
-    The empty graph is the empty forest.  The graph's components are walked
-    and classified once per graph (:attr:`MarkedGraph.components`), and a
-    classification reuses every component it leaves whole.  Deleting
-    ``without`` from a cycle of m vertices leaves A_{m-1} with no walk.
-    Deleting it from any other component patches a copy of
-    :attr:`MarkedGraph.neighbors`, dropping that vertex from its
-    neighbours' tuples (O(deg)), and walks what is left of that component
-    again; no smaller graph is built.  A ``without`` not in the graph
-    raises the :class:`ValueError` that :func:`delete_vertex` raises.
+    The empty graph is the empty forest.  Deleting ``without`` from a graph
+    that is a single cycle returns :attr:`MarkedGraph.cycle_cut`, with no
+    walk.  Any other deletion pops ``without`` from a copy of
+    :attr:`MarkedGraph.neighbors`, dropping it from its neighbours' tuples
+    (O(deg)), and walks what is left once; no smaller graph is built.  A
+    ``without`` not in the graph raises the :class:`ValueError` that
+    :func:`delete_vertex` raises.
 
     One walk per component gathers its size, its degree sum and its
     vertices of degree >= 3, and the type follows from those.  Paths are
     A_n.  A unique degree-3 vertex with sorted branch sizes (1,1,m) gives
     D_{m+3}, and (1,2,2)/(1,2,3)/(1,2,4) give E6/E7/E8.  Everything else (a
     cycle, degree >= 4, two forks, longer branch profiles) raises
-    :class:`ClassificationError`, with the message of the first such
-    component in :attr:`MarkedGraph.neighbors` order.  Such shapes cannot
-    arise from deleting a vertex of an extended diagram, so the error only
-    guards misuse.
+    :class:`ClassificationError` at the first such component walked, in
+    :attr:`MarkedGraph.neighbors` order.  Such shapes cannot arise from
+    deleting a vertex of an extended diagram, so the error only guards
+    misuse.
 
     >>> g = extended_diagram(OrbifoldTriple.of(2, 3, 3))
     >>> str(classify_forest(g, without=5))
@@ -319,59 +295,25 @@ def classify_forest(graph: MarkedGraph, without: int | None = None) -> DynkinFor
     >>> str(classify_forest(extended_diagram(OrbifoldTriple.of(1, 3, 4)), without=2))
     'A6'
     """
-    components = graph.components
-    if without is None:
-        found = _forest([c.kind for c in components])
-    else:
-        if without not in graph.neighbors:
+    adj = graph.neighbors
+    if without is not None:
+        if without not in adj:
             raise ValueError(f"vertex {without} is not in the graph")
-        for own in components:
-            if without in own.vertices:
-                break
-        if own.cut is None:
-            return _walk_deletion(graph, own, without)
-        found = own.cut
-    if isinstance(found, str):
-        raise ClassificationError(found)
-    return found
+        if graph.cycle_cut is not None:
+            return graph.cycle_cut
+        adj = dict(adj)
+        for u in adj.pop(without):
+            adj[u] = tuple(x for x in adj[u] if x != without)
+    return DynkinForest.of(_tree_type(len(vs), ds, forks, adj) for vs, ds, forks in _walk(adj))
 
 
-def _walk_deletion(graph: MarkedGraph, own: Component, without: int) -> DynkinForest:
-    """Classify ``graph`` minus ``without``, whose component ``own`` is no cycle.
-
-    Only what is left of ``own`` is walked, in :attr:`MarkedGraph.neighbors`
-    order.  If another component is bad, the whole graph is walked instead,
-    so that the first bad piece or component raises.
-    """
-    adj = dict(graph.neighbors)
-    for u in adj.pop(without):
-        adj[u] = tuple(x for x in adj[u] if x != without)
-    others = [c for c in graph.components if c is not own]
-    kinds, seen = [], {without}
-    if not any(isinstance(c.kind, str) for c in others):
-        kinds = [c.kind for c in others]
-        seen.update(*(c.vertices for c in others))
-    for vertices, degree_sum, forks in _walk(adj, seen):
-        kinds.append(_tree_type(len(vertices), degree_sum, forks, adj))
-    return DynkinForest.of(kinds)
-
-
-def _forest(kinds: list[DynkinType | str]) -> DynkinForest | str:
-    """The forest of the given types, or the first error message among them."""
-    for k in kinds:
-        if isinstance(k, str):
-            return k
-    return DynkinForest.of(kinds)
-
-
-def _walk(
-    adj: dict[int, tuple[int, ...]], seen: set[int]
-) -> Iterator[tuple[list[int], int, list[int]]]:
-    """Walk each component of adj not yet ``seen``, in the order of adj.
+def _walk(adj: dict[int, tuple[int, ...]]) -> Iterator[tuple[list[int], int, list[int]]]:
+    """Walk each component of adj, in the order of adj.
 
     Yields the component's vertices, its degree sum and its vertices of
-    degree >= 3, and marks its vertices seen.
+    degree >= 3.
     """
+    seen: set[int] = set()
     for start in adj:
         if start in seen:
             continue

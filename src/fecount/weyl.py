@@ -16,8 +16,7 @@ Representations:
   as e_i - e_{i+1} differences, D_n as +-e_i +- e_j, the E series inside
   the even-coordinate Q^8 model with half-integer entries) serve as the
   model check: the Gram matrix of the n ambient simple roots must equal the
-  Cartan matrix.  The ambient coordinates of all roots are computed only
-  when ``RootSystem.roots`` is first read; nothing in the count reads them.
+  Cartan matrix.
 * A group element is a plain tuple: the permutation it induces on the root
   index set, the same form as ``rs.reflections[k]`` and
   ``rs.simple_reflections[i]``.  Every reflection comes from the simple
@@ -96,19 +95,6 @@ class RootSystem:
 
     def __len__(self) -> int:
         return len(self.coords)
-
-    @cached_property
-    def roots(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Ambient coordinates of every root, in the order of ``coords``."""
-        ambient = _ambient_simple_roots(self.dtype)
-        dim = len(ambient[0])
-        return tuple(
-            tuple(
-                Fraction(sum(c * ambient[i][k] for i, c in enumerate(vec)))
-                for k in range(dim)
-            )
-            for vec in self.coords
-        )
 
     @cached_property
     def reflections(self) -> tuple[tuple[int, ...], ...]:

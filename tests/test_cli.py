@@ -60,9 +60,18 @@ class TestDynkinCommand:
         assert rec["agree"] is True and "oracle" not in rec["values"]
         assert any("oracle skipped" in note for note in rec["notes"])
 
-    def test_parse_failure(self, capsys):
-        code, _, err = run_cli(capsys, "dynkin", "Q5")
-        assert code == 2 and "cannot parse" in err
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            ("Q5", "cannot parse Dynkin token 'Q5'"),
+            ("A5 5", "expected a type like 'A5' or 'A 5'"),
+            ("A1 0", "expected a type like 'A5' or 'A 5'"),
+        ],
+        ids=["Q5", "A5 5", "A1 0"],
+    )
+    def test_parse_failure(self, capsys, tokens, message):
+        code, out, err = run_cli(capsys, "dynkin", *tokens.split())
+        assert code == 2 and out == "" and message in err and err.count("\n") == 1
 
     def test_count_past_the_str_digit_limit(self, capsys):
         code, out, _ = run_cli(capsys, "dynkin", "A2000", "--method", "closed")

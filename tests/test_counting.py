@@ -349,6 +349,23 @@ def test_deletion_counts_match_the_delete_vertex_route():
         assert deletion_counts(g) == built, g
 
 
+def test_recursions_call_the_traced_classify_forest(monkeypatch):
+    """Both recursions classify each deletion through the name
+    ``counting.classify_forest``, the one the benchmark traces."""
+    calls = []
+
+    def counted(graph, without=None):
+        calls.append(without)
+        return classify_forest(graph, without=without)
+
+    monkeypatch.setattr(counting, "classify_forest", counted)
+    assert e_dynkin_recursive(DynkinType("D", 6)) == e_dynkin_closed(DynkinType("D", 6))
+    assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+    calls.clear()
+    assert e_affine(OrbifoldTriple.of(1, 2, 3), CountCache()) == 1296
+    assert len(calls) >= 5
+
+
 class TestIntegrality:
     def test_non_integral_totals_are_hard_failures(self):
         from fractions import Fraction

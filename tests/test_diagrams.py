@@ -115,9 +115,9 @@ class TestMarkedGraph:
     def test_adjacency_is_not_part_of_the_value(self):
         edges = [(1, 2), (2, 3), (2, 4)]
         used, fresh = MarkedGraph.of(range(1, 5), edges), MarkedGraph.of(range(1, 5), edges)
-        assert used.neighbors[2] and used.components[0].kind == DynkinType("D", 4)
+        assert used.neighbors[2] and used.cycle_cut is None
         assert "neighbors" in vars(used) and "neighbors" not in vars(fresh)
-        assert "components" in vars(used) and "components" not in vars(fresh)
+        assert "cycle_cut" in vars(used) and "cycle_cut" not in vars(fresh)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
     def test_every_edge_in_both_neighbor_tuples(self):
@@ -204,18 +204,48 @@ class TestDeleteAndClassify:
                 assert str(err.value) == message
 
 
+DELETION_DYNKIN_DIAGRAMS = (
+    [dynkin_diagram(DynkinType("A", n)) for n in range(1, 31)]
+    + [dynkin_diagram(DynkinType("D", n)) for n in range(4, 31)]
+    + [dynkin_diagram(DynkinType("E", n)) for n in (6, 7, 8)]
+)
+
+
 def test_deletion_in_place_matches_delete_vertex():
     """Classifying ``g - v`` in place gives the forest of the graph that
     delete_vertex builds, for every vertex of every graph checked."""
-    graphs = (
-        [extended_diagram(t) for t in admissible_triples(14)]
-        + [dynkin_diagram(DynkinType("A", n)) for n in range(1, 31)]
-        + [dynkin_diagram(DynkinType("D", n)) for n in range(4, 31)]
-        + [dynkin_diagram(DynkinType("E", n)) for n in (6, 7, 8)]
-    )
+    graphs = [extended_diagram(t) for t in admissible_triples(14)] + DELETION_DYNKIN_DIAGRAMS
     for g in graphs:
         for v in g.vertices:
             assert classify_forest(g, without=v) == classify_forest(delete_vertex(g, v)), (g, v)
+
+
+class TestCycleCut:
+    def test_every_1pq_cycle_cuts_to_a_path(self):
+        cycles = [t for t in admissible_triples(14) if t.orders[0] == 1 and t.mu > 2]
+        assert len(cycles) == 48
+        for t in cycles:
+            g = extended_diagram(t)
+            _, p, q = t.orders
+            assert g.cycle_cut == forest(f"A{p + q - 1}"), t
+            # one object, built once per graph, for every deletion
+            assert all(classify_forest(g, without=v) is g.cycle_cut for v in g.vertices)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            extended_diagram(OrbifoldTriple.of(1, 1, 1)),
+            MarkedGraph.of([], []),
+            MarkedGraph.of(range(1, 7), [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]),
+            MarkedGraph.of(range(1, 5), [(1, 2), (2, 3), (1, 3)]),
+        ],
+        ids=["(1,1,1)", "empty", "two triangles", "triangle and a point"],
+    )
+    def test_no_cut_unless_a_single_cycle(self, graph):
+        assert graph.cycle_cut is None
+
+    def test_no_cut_for_dynkin_diagrams(self):
+        assert all(g.cycle_cut is None for g in DELETION_DYNKIN_DIAGRAMS)
 
 
 class TestDeletionSweep:
@@ -303,17 +333,21 @@ def test_classify_forest_recovers_shuffled_disjoint_union(types, rnd):
 
 def _shuffled_union(parts, rnd):
     """A disjoint union of graphs given as (vertex count, edges on 1..count),
-    relabelled by a random permutation and listed in a random order."""
+    relabelled by a random permutation and listed in a random order.
+
+    Returns the graph and each part's new vertex labels, in part order.
+    """
     labels = list(range(sum(n for n, _ in parts)))
     rnd.shuffle(labels)
-    vertices, edges, offset = [], [], 0
+    vertices, edges, offset, part_labels = [], [], 0, []
     for n, part_edges in parts:
-        vertices += labels[offset:offset + n]
+        part_labels.append(labels[offset:offset + n])
+        vertices += part_labels[-1]
         edges += [(labels[offset + u - 1], labels[offset + v - 1]) for u, v in part_edges]
         offset += n
     rnd.shuffle(vertices)
     rnd.shuffle(edges)
-    return MarkedGraph.of(vertices, edges)
+    return MarkedGraph.of(vertices, edges), part_labels
 
 
 def _classify_or_message(call):
@@ -333,15 +367,16 @@ def test_deletions_with_cycle_components(types, cycle_lengths, rnd):
     """Dynkin trees plus one or two cycles, shuffled: every in-place deletion
     classifies as the graph delete_vertex builds, or raises the same
     ClassificationError (a cycle that survives the deletion)."""
-    parts = [(t.rank, dynkin_diagram(t).edges) for t in types]
-    parts += [(m, [(i, i % m + 1) for i in range(1, m + 1)]) for m in cycle_lengths]
+    cycles = [(m, [(i, i % m + 1) for i in range(1, m + 1)]) for m in cycle_lengths]
+    parts = [(t.rank, dynkin_diagram(t).edges) for t in types] + cycles
     rnd.shuffle(parts)
-    g = _shuffled_union(parts, rnd)
+    g, part_labels = _shuffled_union(parts, rnd)
     for v in g.vertices:
         in_place = _classify_or_message(lambda: classify_forest(g, without=v))
         built = _classify_or_message(lambda: classify_forest(delete_vertex(g, v)))
         assert in_place == built, (g, v)
     if len(cycle_lengths) == 1:
-        (cycle,) = [c for c in g.components if c.cut is not None]
+        cycle_vertices = part_labels[next(i for i, p in enumerate(parts) if p is cycles[0])]
         cut = DynkinForest.of([*types, DynkinType("A", cycle_lengths[0] - 1)])
-        assert all(classify_forest(g, without=v) == cut for v in cycle.vertices)
+        assert all(classify_forest(g, without=v) == cut for v in cycle_vertices)
+        assert g.cycle_cut == (None if types else cut)
