@@ -19,10 +19,10 @@ recursion.
 
 Every routine works in exact integers/rationals and asserts integrality of
 rational totals (raising :class:`fecount.arith.NonIntegralError` rather than
-rounding).  The recursion over triples is memoized through
-:class:`CountCache`, keyed by the canonical orders tuple, so a sub-triple
-served from the memo is never built as an :class:`OrbifoldTriple`.  The
-cache may be shared between threads and persisted to a small text file.
+rounding).  The triple recursion's memo, :class:`CountCache`, is keyed by
+the canonical orders tuple, so a sub-triple served from it is never built
+as an :class:`OrbifoldTriple`.  It may be shared between threads and saved
+to a text file, whose every count must equal the closed form's.
 """
 from __future__ import annotations
 
@@ -34,7 +34,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .arith import as_natural, binomial, factorial, multinomial, parse_decimal, render_decimal
+from .arith import NonIntegralError, as_natural, binomial, factorial, multinomial
+from .arith import parse_decimal, render_decimal
 from .diagrams import (
     DynkinForest,
     DynkinType,
@@ -176,18 +177,17 @@ class CountCache:
         with self._lock:
             if value is None:
                 self.misses += 1
-                return None
-            self.hits += 1
-        log.debug("cache hit: (%d,%d,%d) -> %d", *orders, value)
+            else:
+                self.hits += 1
         return value
 
     def put_affine(self, orders: tuple[int, int, int], value: int) -> None:
         with self._lock:
             self._affine[orders] = value
 
-    def items(self) -> list[tuple[OrbifoldTriple, int]]:
-        """The cached counts as (triple, count) pairs, sorted by orders."""
-        return [(OrbifoldTriple(orders), v) for orders, v in sorted(self._affine.items())]
+    def items(self) -> list[tuple[tuple[int, int, int], int]]:
+        """The cached counts as (orders, count) pairs, sorted by orders."""
+        return sorted(self._affine.items())
 
     def __len__(self) -> int:
         return len(self._affine)
@@ -202,7 +202,7 @@ def save_cache(cache: CountCache, path: str | Path) -> None:
     """
     text = "".join(
         "{},{},{} -> {}\n".format(*orders, render_decimal(v))
-        for orders, v in sorted(cache._affine.items())
+        for orders, v in cache.items()
     )
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -218,10 +218,11 @@ def load_cache(path: str | Path) -> CountCache:
     """Read a cache file written by :func:`save_cache`.
 
     Blank lines and lines starting with '#' are ignored.  A key must be a
-    canonical (ascending) admissible triple, and a triple listed twice must
-    have the same count both times; anything else raises ValueError.
+    canonical (ascending) admissible triple, and its count must equal
+    :func:`e_affine_closed`; anything else raises ValueError.  A true count
+    is at least mu!/2, so one of fewer than mu - 1 bits is refused at once.
     """
-    counts: dict[OrbifoldTriple, tuple[int, int]] = {}  # count, first line
+    cache = CountCache()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -232,14 +233,9 @@ def load_cache(path: str | Path) -> CountCache:
             count = parse_decimal(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad cache line {raw!r}") from exc
-        first, first_lineno = counts.setdefault(triple, (count, lineno))
-        if first != count:
-            raise ValueError(
-                f"{path}:{lineno}: count for {triple} conflicts with line {first_lineno}"
-            )
-    cache = CountCache()
-    for triple, (count, _) in counts.items():
-        cache.put_affine(triple.orders, count)
+        if count.bit_length() < triple.mu - 1 or count != e_affine_closed(triple):
+            raise ValueError(f"{path}:{lineno}: wrong count for {triple}")
+        cache._affine[triple.orders] = count  # not yet shared, so no lock
     return cache
 
 
@@ -322,15 +318,19 @@ def affine_total(
 def e_affine_closed(triple: OrbifoldTriple) -> int:
     """Closed form mu!/(a1! a2! a3! chi) * a1^a1 a2^a2 a3^a3.
 
+    In plain ints, with m = mu + 1 and chi = s/(a1 a2 a3), that is
+    C(m, a1) C(a2+a3, a2) a1^(a1+1) a2^(a2+1) a3^(a3+1) / (m s).
+
     >>> e_affine_closed(OrbifoldTriple.of(2, 3, 4))
     46448640
     """
     a1, a2, a3 = triple.orders
-    val = Fraction(
-        factorial(triple.mu), factorial(a1) * factorial(a2) * factorial(a3)
-    ) / triple.chi
-    val *= a1**a1 * a2**a2 * a3**a3
-    return as_natural(val, f"closed form for {triple}")
+    m = a1 + a2 + a3
+    num = math.comb(m, a1) * math.comb(a2 + a3, a2) * a1**(a1 + 1) * a2**(a2 + 1) * a3**(a3 + 1)
+    value, rest = divmod(num, m * (a2 * a3 + a1 * a3 + a1 * a2 - a1 * a2 * a3))
+    if rest:
+        raise NonIntegralError(f"closed form for {triple} is not an integer: remainder {rest}")
+    return value
 
 
 def deg_ll_affine(triple: OrbifoldTriple) -> int:

@@ -83,10 +83,6 @@ class DynkinForest:
     def of(cls, components) -> "DynkinForest":
         return cls(tuple(sorted(components)))
 
-    @property
-    def total_rank(self) -> int:
-        return sum(c.rank for c in self.components)
-
     def __str__(self) -> str:
         return " | ".join(str(c) for c in self.components) or "(empty)"
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fecount import verify
+from fecount import cli, counting, verify
 from fecount.cli import main
 from fecount.counting import e_affine_closed
 from fecount.diagrams import OrbifoldTriple
@@ -154,12 +154,19 @@ class TestAffineCommand:
         assert last_record(out1)["values"] == last_record(out2)["values"]
         assert "hits" in err2  # cache activity is logged when verbose
 
-    def test_poisoned_cache_is_not_written_back(self, capsys, tmp_path):
+    # A count that is not the closed form's is refused before any method
+    # runs, even when the only method run is the recursion it would feed.
+    @pytest.mark.parametrize("argv, line", [
+        (("affine", "1", "1", "3", "--method", "recursive"), "1,1,2 -> 99"),
+        (("affine", "2", "3", "5"), "2,3,3 -> 99"),
+    ], ids=["affine 1 1 3 --method recursive", "affine 2 3 5"])
+    def test_poisoned_cache_is_not_written_back(self, capsys, tmp_path, argv, line):
         path = tmp_path / "cache.txt"
-        path.write_text("2,3,3 -> 99\n")
+        path.write_text(line + "\n")
         before = path.read_bytes()
-        code, out, _ = run_cli(capsys, "affine", "2", "3", "5", "--cache", str(path))
-        assert code == 1 and last_record(out)["agree"] is False
+        code, out, err = run_cli(capsys, *argv, "--cache", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"{path}:1: wrong count for " in err
         assert path.read_bytes() == before
 
     def test_non_canonical_cache_key_is_refused(self, capsys, tmp_path):
@@ -399,6 +406,18 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
             assert all(line.startswith("| ") and line.endswith(" |") for line in lines), argv
         else:
             assert all(json.loads(line) for line in lines), argv
+
+
+@pytest.mark.parametrize("argv", [("verify", "cross", "--max-mu", "8"),
+                                  ("table", "--affine", "--max-mu", "8")], ids=" ".join)
+def test_sweeps_never_read_a_cache_file(capsys, monkeypatch, argv):
+    def refuse(path):
+        raise AssertionError(f"cache file {path} read")
+
+    monkeypatch.setattr(cli, "load_cache", refuse)
+    monkeypatch.setattr(counting, "load_cache", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
 
 
 def test_console_entry_point_runs_in_subprocess():

@@ -131,6 +131,10 @@ class TestAffineCounts:
         assert e_affine(t) == expected
         assert e_affine_closed(t) == expected
 
+    def test_closed_form_is_the_ll_degree_up_to_mu_60(self):
+        triples = list(admissible_triples(60))
+        assert [str(t) for t in triples if e_affine_closed(t) != deg_ll_affine(t)] == []
+
     def test_cross_formula_equality_up_to_mu_14(self):
         cache = CountCache()
         triples = list(admissible_triples(14))
@@ -203,12 +207,24 @@ class TestCache:
 
     def test_round_trip_of_a_count_past_the_str_digit_limit(self, tmp_path):
         path = tmp_path / "counts.txt"
-        count = 10**4999 + 12345  # 5000 digits
+        count = e_affine_closed(OrbifoldTriple.of(1, 1, 3000))  # 3000**3001, 10435 digits
         cache = CountCache()
-        cache.put_affine((1, 1, 1), count)
+        cache.put_affine((1, 1, 3000), count)
         save_cache(cache, path)
-        assert path.read_text() == "1,1,1 -> 1" + "0" * 4994 + "12345\n"
-        assert load_cache(path).items() == [(OrbifoldTriple.of(1, 1, 1), count)]
+        assert path.read_text() == "1,1,3000 -> " + str(3**3001) + "0" * 9003 + "\n"
+        assert load_cache(path).items() == [((1, 1, 3000), count)]
+
+    def test_every_true_count_up_to_mu_20_loads_back(self, tmp_path):
+        """The file of all 119 triples with mu <= 20, the range of the
+        ``affine --cache`` queries of perfbench's ``session`` workload,
+        passes the closed-form check."""
+        path = tmp_path / "counts.txt"
+        cache = CountCache()
+        for t in admissible_triples(20):
+            e_affine(t, cache)
+        save_cache(cache, path)
+        assert len(cache) == 119
+        assert load_cache(path).items() == cache.items()
 
     def test_load_tolerates_comments_and_rejects_junk(self, tmp_path):
         path = tmp_path / "counts.txt"
@@ -228,10 +244,22 @@ class TestCache:
     def test_load_rejects_conflicting_duplicates(self, tmp_path):
         path = tmp_path / "counts.txt"
         path.write_text("2,3,3 -> 1224720\n# again\n2,3,3 -> 1224720\n2,3,3 -> 7\n")
-        with pytest.raises(ValueError, match=r":4: count for \(2,3,3\) conflicts with line 1"):
+        with pytest.raises(ValueError, match=r":4: wrong count for \(2,3,3\)$"):
             load_cache(path)
         path.write_text("2,3,3 -> 1224720\n2,3,3 -> 1224720\n")
-        assert load_cache(path).items() == [(OrbifoldTriple.of(2, 3, 3), 1224720)]
+        assert load_cache(path).items() == [((2, 3, 3), 1224720)]
+
+    def test_load_refuses_a_short_count_before_the_closed_form(self, tmp_path, monkeypatch):
+        """A true count has at least mu - 1 bits, so a shorter one is
+        refused without building a closed form of millions of digits."""
+        def unbuilt(triple):
+            raise AssertionError(f"closed form of {triple} built")
+
+        monkeypatch.setattr(counting, "e_affine_closed", unbuilt)
+        path = tmp_path / "counts.txt"
+        path.write_text("1,1,10000000 -> 5\n")
+        with pytest.raises(ValueError, match=r":1: wrong count for \(1,1,10000000\)$"):
+            load_cache(path)
 
     def test_failed_save_leaves_old_file_and_no_temp_file(self, tmp_path):
         """A write that fails partway (here: past a 64-byte file-size limit
@@ -314,7 +342,7 @@ class TestCache:
         count = e_affine(OrbifoldTriple.of(1, 11, 28), cache)
         assert (cache.hits, cache.misses) == (4896, 253)
         assert len(built) <= 253 and len(set(built)) == len(built)
-        assert sorted(built) == [t.orders for t, _ in cache.items()]
+        assert sorted(built) == [orders for orders, _ in cache.items()]
         assert count == e_affine_closed(OrbifoldTriple.of(1, 11, 28))
 
     def test_concurrent_use_is_deterministic(self):
