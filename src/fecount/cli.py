@@ -13,8 +13,10 @@ identical bytes.
 
 The oracle's time budget comes from --budget-ms or the FEC_ORACLE_BUDGET_MS
 environment variable (default 60000).  Numbers on the command line are read
-in ASCII only: a sweep bound is an optional ``-`` and the digits 0-9, and a
-budget is what ``float`` reads from ASCII text without ``_``.
+in ASCII only, as each option is parsed: a sweep bound is an optional ``-``
+and the digits 0-9, and a budget is a non-negative ``float`` read from ASCII
+text without ``_``.  A bad --budget-ms is refused whatever --method is;
+FEC_ORACLE_BUDGET_MS is read only when the oracle runs.
 """
 from __future__ import annotations
 
@@ -44,26 +46,27 @@ class CliError(Exception):
 
 
 def _budget_value(source: str, raw: str) -> float:
-    """A budget in ms as ``float`` reads it, from ASCII text with no ``_``."""
+    """A budget in ms as ``float`` reads ASCII text with no ``_``; inf means no deadline."""
     if raw.isascii() and "_" not in raw:
         try:
-            return float(raw)
+            budget = float(raw)
         except ValueError:
             pass
+        else:
+            if not budget >= 0:  # also rejects NaN, which would disable the deadline
+                raise CliError(f"{source} must be a non-negative number of ms, got {budget}")
+            return budget
     raise CliError(f"{source} must be a number, got {raw!r}")
 
 
 def _oracle_budget_ms(override: float | None) -> float:
-    """The oracle budget; inf means no deadline and 0 expires at once."""
-    source, budget = "--budget-ms", override
-    if override is None:
-        raw = os.environ.get("FEC_ORACLE_BUDGET_MS")
-        if raw is None:
-            return DEFAULT_ORACLE_BUDGET_MS
-        source, budget = "FEC_ORACLE_BUDGET_MS", _budget_value("FEC_ORACLE_BUDGET_MS", raw)
-    if not budget >= 0:  # also rejects NaN, which would disable the deadline
-        raise CliError(f"{source} must be a non-negative number of ms, got {budget}")
-    return budget
+    """The oracle budget: --budget-ms, else FEC_ORACLE_BUDGET_MS, else the default."""
+    if override is not None:
+        return override
+    raw = os.environ.get("FEC_ORACLE_BUDGET_MS")
+    if raw is None:
+        return DEFAULT_ORACLE_BUDGET_MS
+    return _budget_value("FEC_ORACLE_BUDGET_MS", raw)
 
 
 def _bound(option: str, raw: str) -> int:
@@ -75,16 +78,6 @@ def _bound(option: str, raw: str) -> int:
         except ValueError:  # past the int-from-str digit limit
             pass
     raise CliError(f"{option} must be an integer in ASCII digits, got {raw!r}")
-
-
-def _read_numbers(args: argparse.Namespace) -> None:
-    """Replace the numeric options given on the command line by their values."""
-    for name in ("max", "max_r", "max_mu", "max_rank"):
-        raw = getattr(args, name, None)
-        if isinstance(raw, str):  # a default is already an int
-            setattr(args, name, _bound("--" + name.replace("_", "-"), raw))
-    if getattr(args, "budget_ms", None) is not None:
-        args.budget_ms = _budget_value("--budget-ms", args.budget_ms)
 
 
 def _parse_dynkin_args(tokens: list[str]) -> DynkinType:
@@ -291,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type", nargs="+", help="type token, e.g. A5 or 'A 5'")
     p.add_argument("--method", default="both",
                    choices=["closed", "recursive", "oracle", "both", "all"])
-    p.add_argument("--budget-ms", default=None)
+    p.add_argument("--budget-ms", type=functools.partial(_budget_value, "--budget-ms"))
     p.set_defaults(func=cmd_dynkin)
 
     p = sub.add_parser("affine", help="count for orbifold point orders")
@@ -307,14 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="reflection-factorization brute force")
     p.add_argument("type", nargs="+", help="type token, e.g. D4")
-    p.add_argument("--budget-ms", default=None)
+    p.add_argument("--budget-ms", type=functools.partial(_budget_value, "--budget-ms"))
     p.set_defaults(func=cmd_dynkin, method="oracle")
 
     p = sub.add_parser("verify", help="run a verification suite (exit 0 iff clean)")
     p.add_argument("suite", choices=["hurwitz", "tables", "cross"])
-    p.add_argument("--max", default=15, help="hurwitz parameter bound")
-    p.add_argument("--max-r", default=10, help="(2,2,r) table bound")
-    p.add_argument("--max-mu", default=14, help="cross-check mu bound")
+    p.add_argument("--max", default=15, type=functools.partial(_bound, "--max"),
+                   help="hurwitz parameter bound")
+    p.add_argument("--max-r", default=10, type=functools.partial(_bound, "--max-r"),
+                   help="(2,2,r) table bound")
+    p.add_argument("--max-mu", default=14, type=functools.partial(_bound, "--max-mu"),
+                   help="cross-check mu bound")
     p.add_argument("--format", default="json", choices=["json", "md"])
     p.set_defaults(func=cmd_verify)
 
@@ -322,25 +318,25 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--dynkin", action="store_true")
     group.add_argument("--affine", action="store_true")
-    p.add_argument("--max-rank", default=8)
-    p.add_argument("--max-mu", default=9)
+    p.add_argument("--max-rank", default=8, type=functools.partial(_bound, "--max-rank"))
+    p.add_argument("--max-mu", default=9, type=functools.partial(_bound, "--max-mu"))
     p.add_argument("--format", default="json", choices=["json", "csv", "md"])
     p.set_defaults(func=cmd_table)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # force= rebinds the handler to the current sys.stderr on every call, so
-    # embedding main() in another process (or a test) behaves like a fresh run.
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
     try:
-        _read_numbers(args)
+        # A CliError from an option's type= passes through argparse to here.
+        args = build_parser().parse_args(argv)
+        # force= rebinds the handler to the current sys.stderr on every call, so
+        # embedding main() in another process (or a test) behaves like a fresh run.
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+            force=True,
+        )
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,6 +43,7 @@ from .diagrams import (
     OrbifoldTriple,
     classify_forest,
     dynkin_diagram,
+    euler_numerator,
     extended_diagram,
     is_admissible,
 )
@@ -327,7 +328,7 @@ def e_affine_closed(triple: OrbifoldTriple) -> int:
     a1, a2, a3 = triple.orders
     m = a1 + a2 + a3
     num = math.comb(m, a1) * math.comb(a2 + a3, a2) * a1**(a1 + 1) * a2**(a2 + 1) * a3**(a3 + 1)
-    value, rest = divmod(num, m * (a2 * a3 + a1 * a3 + a1 * a2 - a1 * a2 * a3))
+    value, rest = divmod(num, m * euler_numerator(a1, a2, a3))
     if rest:
         raise NonIntegralError(f"closed form for {triple} is not an integer: remainder {rest}")
     return value

@@ -87,9 +87,14 @@ class DynkinForest:
         return " | ".join(str(c) for c in self.components) or "(empty)"
 
 
+def euler_numerator(a1: int, a2: int, a3: int) -> int:
+    """The Euler number 1/a1 + 1/a2 + 1/a3 - 1 times a1 a2 a3."""
+    return a2 * a3 + a1 * a3 + a1 * a2 - a1 * a2 * a3
+
+
 def is_admissible(a1: int, a2: int, a3: int) -> bool:
     """Whether the Euler number 1/a1 + 1/a2 + 1/a3 - 1 is positive, tested in integers."""
-    return a2 * a3 + a1 * a3 + a1 * a2 > a1 * a2 * a3
+    return euler_numerator(a1, a2, a3) > 0
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ class OrbifoldTriple:
     def chi(self) -> Fraction:
         """Orbifold Euler number 1/a1 + 1/a2 + 1/a3 - 1."""
         a1, a2, a3 = self.orders
-        return Fraction(a2 * a3 + a1 * a3 + a1 * a2 - a1 * a2 * a3, a1 * a2 * a3)
+        return Fraction(euler_numerator(a1, a2, a3), a1 * a2 * a3)
 
     @property
     def mu(self) -> int:

@@ -112,6 +112,15 @@ def test_numbers_are_ascii_digits_only(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["-1", "nan"])
+@pytest.mark.parametrize("query", ["dynkin A3 --method closed", "dynkin A12 --method all"])
+def test_bad_budget_flag_is_refused_even_without_the_oracle(capsys, query, value):
+    """--budget-ms is checked as it is parsed, also when no oracle runs."""
+    code, out, err = run_cli(capsys, *query.split(), "--budget-ms", value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --budget-ms") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["\u0661\u0660\u0660\u0660", "1_000"])
 def test_budget_env_is_ascii_only(capsys, monkeypatch, value):
     monkeypatch.setenv("FEC_ORACLE_BUDGET_MS", value)
