@@ -1,10 +1,10 @@
 """Exact arithmetic helpers shared by every counting module.
 
 Counts are plain Python ints (arbitrary precision, no silent overflow) and
-rational intermediates are ``fractions.Fraction`` (always lowest terms,
-positive denominator).  No float ever enters the pipeline: a rational that
-is required to be an integer goes through :func:`as_natural`, which raises
-instead of rounding.
+no float ever enters.  A rational formula is an integer numerator over an
+integer denominator; :func:`as_natural`, the one exactness check, divides
+them with ``divmod`` and raises instead of rounding.  :func:`ratio_pow`
+gives boundary powers such as 1**(-1) as a ``Fraction``.
 """
 from __future__ import annotations
 
@@ -68,20 +68,19 @@ def ratio_pow(base: int, exp: int) -> Fraction:
     return Fraction(base) ** exp
 
 
-def as_natural(value: Fraction | int, what: str = "value") -> int:
-    """Convert an exact rational known to be a non-negative integer.
+def as_natural(value: Fraction | int, what: str = "value", den: int = 1) -> int:
+    """The quotient value/den (den > 0), which must be a non-negative integer.
 
     Raises :class:`NonIntegralError` otherwise; nothing is ever rounded.
 
-    >>> as_natural(Fraction(162, 1))
-    162
+    >>> as_natural(486, "LL degree", 3), as_natural(Fraction(162, 1))
+    (162, 162)
     """
-    f = Fraction(value)
-    if f.denominator != 1:
-        raise NonIntegralError(f"{what} is not an integer: {f}")
-    n = int(f)
-    if n < 0:
-        raise NonIntegralError(f"{what} is negative: {n}")
+    n, rest = divmod(value, den)
+    if rest or n < 0:
+        problem = "not an integer" if rest else "negative"
+        shown = value if den == 1 else f"{value}/{den}"
+        raise NonIntegralError(f"{what} is {problem}: {shown}")
     return n
 
 

@@ -29,7 +29,7 @@ import logging
 import os
 import sys
 import time
-from typing import Callable
+from typing import Callable, NoReturn
 
 from . import counting, verify, weyl
 from .arith import parse_decimal, render_decimal
@@ -43,6 +43,13 @@ DEFAULT_ORACLE_BUDGET_MS = 60_000.0
 
 class CliError(Exception):
     """User-facing failure; printed to stderr, exit status 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become a one-line :class:`CliError`; subparsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(message)
 
 
 def _budget_value(source: str, raw: str) -> float:
@@ -271,7 +278,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``fec`` parser, built once per process and shared by every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fec",
         description="Exact counts of complete exceptional sequences for "
                     "Dynkin and extended Dynkin data.",
@@ -327,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # A CliError from an option's type= passes through argparse to here.
+        # Usage errors, and a CliError from an option's type=, arrive here.
         args = build_parser().parse_args(argv)
         # force= rebinds the handler to the current sys.stderr on every call, so
         # embedding main() in another process (or a test) behaves like a fresh run.

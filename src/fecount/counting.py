@@ -17,12 +17,13 @@ distinct forest is counted once per diagram.  The golden tables in
 :mod:`fecount.verify` read the same parts, so they check the live
 recursion.
 
-Every routine works in exact integers/rationals and asserts integrality of
-rational totals (raising :class:`fecount.arith.NonIntegralError` rather than
-rounding).  The triple recursion's memo, :class:`CountCache`, is keyed by
-the canonical orders tuple, so a sub-triple served from it is never built
-as an :class:`OrbifoldTriple`.  It may be shared between threads and saved
-to a text file, whose every count must equal the closed form's.
+Every routine works in plain integers, and :func:`fecount.arith.as_natural`
+divides each rational formula's numerator by its denominator (raising
+:class:`fecount.arith.NonIntegralError` rather than rounding).  The triple
+recursion's memo, :class:`CountCache`, is keyed by the canonical orders
+tuple, so a sub-triple served from it is never built as an
+:class:`OrbifoldTriple`.  It may be shared between threads and saved to a
+text file, whose every count must equal the closed form's.
 """
 from __future__ import annotations
 
@@ -30,11 +31,10 @@ import logging
 import math
 import os
 import threading
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .arith import NonIntegralError, as_natural, binomial, factorial, multinomial
+from .arith import as_natural, binomial, factorial, multinomial
 from .arith import parse_decimal, render_decimal
 from .diagrams import (
     DynkinForest,
@@ -104,9 +104,8 @@ def deg_ll_dynkin(dtype: DynkinType) -> int:
     cross-checks on each other.
     """
     n = dtype.rank
-    h = coxeter_number(dtype)
-    val = Fraction(factorial(n), math.prod(invariant_degrees(dtype))) * h**n
-    return as_natural(val, f"LL degree of {dtype}")
+    num = factorial(n) * coxeter_number(dtype) ** n
+    return as_natural(num, f"LL degree of {dtype}", math.prod(invariant_degrees(dtype)))
 
 
 def e_forest(forest: DynkinForest) -> int:
@@ -146,15 +145,14 @@ def e_dynkin_recursive(dtype: DynkinType) -> int:
     """Vertex-deletion recursion: (h/2) * sum over deleted vertices.
 
     Each deletion leaves a forest of strictly smaller Dynkin trees whose
-    count comes from :func:`e_forest`.  The h/2 scaling is applied as an
-    exact rational and the total must come out integral.
+    count comes from :func:`e_forest`.  The h/2 scaling is exact: h times
+    the sum must be even.
 
     >>> e_dynkin_recursive(DynkinType("A", 2))
     3
     """
-    total = sum(deletion_counts(dynkin_diagram(dtype)))
-    val = Fraction(coxeter_number(dtype), 2) * total
-    return as_natural(val, f"recursion total for {dtype}")
+    total = coxeter_number(dtype) * sum(deletion_counts(dynkin_diagram(dtype)))
+    return as_natural(total, f"recursion total for {dtype}", 2)
 
 
 class CountCache:
@@ -308,12 +306,13 @@ def affine_parts(
 def affine_total(
     triple: OrbifoldTriple, deletions: list[int], branches: list[tuple[int, int, int]]
 ) -> int:
-    """sum(deletions)/chi + sum of a_i * term over the branch terms."""
-    first = Fraction(sum(deletions)) / triple.chi
-    if first.denominator != 1:
-        log.info("deletion term for %s is non-integral on its own: %s", triple, first)
+    """sum(deletions)/chi + sum of a_i * term, where 1/chi = a1 a2 a3 / s."""
+    s = euler_numerator(*triple.orders)
+    first = sum(deletions) * math.prod(triple.orders)
+    if first % s:
+        log.info("deletion term for %s is non-integral on its own: %d/%d", triple, first, s)
     second = sum(triple.orders[i - 1] * term for i, _, term in branches)
-    return as_natural(first + second, f"recursion total for {triple}")
+    return as_natural(first + s * second, f"recursion total for {triple}", s)
 
 
 def e_affine_closed(triple: OrbifoldTriple) -> int:
@@ -328,10 +327,7 @@ def e_affine_closed(triple: OrbifoldTriple) -> int:
     a1, a2, a3 = triple.orders
     m = a1 + a2 + a3
     num = math.comb(m, a1) * math.comb(a2 + a3, a2) * a1**(a1 + 1) * a2**(a2 + 1) * a3**(a3 + 1)
-    value, rest = divmod(num, m * euler_numerator(a1, a2, a3))
-    if rest:
-        raise NonIntegralError(f"closed form for {triple} is not an integer: remainder {rest}")
-    return value
+    return as_natural(num, f"closed form for ({a1},{a2},{a3})", m * euler_numerator(a1, a2, a3))
 
 
 def deg_ll_affine(triple: OrbifoldTriple) -> int:
@@ -343,11 +339,12 @@ def deg_ll_affine(triple: OrbifoldTriple) -> int:
     >>> deg_ll_affine(OrbifoldTriple.of(1, 1, 1))
     1
     """
-    denom = triple.chi
+    num, den = factorial(triple.mu) * math.prod(triple.orders), euler_numerator(*triple.orders)
     for a_i in triple.orders:
         for j in range(1, a_i):
-            denom *= Fraction(a_i - j, a_i)
-    return as_natural(factorial(triple.mu) / denom, f"LL degree of {triple}")
+            num *= a_i
+            den *= a_i - j
+    return as_natural(num, f"LL degree of {triple}", den)
 
 
 def admissible_triples(max_mu: int) -> Iterator[OrbifoldTriple]:

@@ -218,12 +218,7 @@ def extended_diagram(triple: OrbifoldTriple) -> MarkedGraph:
         p, q = a2, a3
         n = p + q
         cycle = list(range(1, p + 1)) + [n] + list(range(n - 1, p, -1))
-        edges = set()
-        for i, u in enumerate(cycle):
-            v = cycle[(i + 1) % len(cycle)]
-            if u != v:
-                edges.add((u, v))
-        return MarkedGraph.of(range(1, n + 1), edges)
+        return MarkedGraph.of(range(1, n + 1), zip(cycle, cycle[1:] + cycle[:1]))
     if (a1, a2) == (2, 2):
         r = a3
         edges = [(1, 3), (2, 3), (r + 1, r + 2), (r + 1, r + 3)]

@@ -89,6 +89,7 @@ def test_fraction_invariants(a, b):
 def test_as_natural_accepts_integral_rationals():
     assert as_natural(Fraction(486, 3)) == 162
     assert as_natural(7) == 7
+    assert as_natural(486, "p", 3) == 162
 
 
 def test_as_natural_rejects_non_integral_and_negative():
@@ -96,6 +97,10 @@ def test_as_natural_rejects_non_integral_and_negative():
         as_natural(Fraction(1, 2))
     with pytest.raises(NonIntegralError):
         as_natural(Fraction(-3, 1))
+    with pytest.raises(NonIntegralError):
+        as_natural(7, "p", 2)
+    with pytest.raises(NonIntegralError):
+        as_natural(-6, "p", 2)
 
 
 @given(st.integers(min_value=0, max_value=10**40))

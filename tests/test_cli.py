@@ -121,6 +121,16 @@ def test_bad_budget_flag_is_refused_even_without_the_oracle(capsys, query, value
     assert err.startswith("error: --budget-ms") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("verify", "hurwitz", "--format", "xml"),
+                                  ("dynkin", "A3", "--budget-ms"), ()],
+                         ids=lambda argv: " ".join(argv) or "(no arguments)")
+def test_usage_errors_are_one_line(capsys, argv):
+    """argparse's own usage errors return 2 with one line, not a usage block."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["\u0661\u0660\u0660\u0660", "1_000"])
 def test_budget_env_is_ascii_only(capsys, monkeypatch, value):
     monkeypatch.setenv("FEC_ORACLE_BUDGET_MS", value)

@@ -1,4 +1,5 @@
 """Counting engine: closed forms, recursions, LL degrees, cache behaviour."""
+import ast
 import os
 import subprocess
 import sys
@@ -88,6 +89,14 @@ class TestDynkinCounts:
     @pytest.mark.parametrize("t", ALL_TYPES, ids=str)
     def test_recursion_equals_closed_form(self, t):
         assert e_dynkin_recursive(t) == e_dynkin_closed(t)
+
+    def test_three_counts_agree_past_the_oracle_ranks(self):
+        """ALL_TYPES stops at rank 9; the recursion is also used up to rank 120."""
+        types = [DynkinType("A", n) for n in range(1, 61)]
+        types += [DynkinType("D", n) for n in range(4, 61)]
+        types += [DynkinType("E", n) for n in (6, 7, 8)]
+        for t in types:
+            assert deg_ll_dynkin(t) == e_dynkin_recursive(t) == e_dynkin_closed(t), t
 
 
 class TestForestCounts:
@@ -402,6 +411,15 @@ class TestIntegrality:
 
         with pytest.raises(NonIntegralError):
             as_natural(Fraction(1224721, 6), "probe")
+
+    def test_counting_is_integer_only(self):
+        """Every rational formula is an integer pair checked by as_natural."""
+        tree = ast.parse(Path(counting.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name == "fractions" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "fractions"
 
     def test_first_term_integrality_is_only_reported(self, caplog):
         # On every admissible triple the 1/chi term happens to be integral,
