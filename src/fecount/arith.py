@@ -68,10 +68,12 @@ def ratio_pow(base: int, exp: int) -> Fraction:
     return Fraction(base) ** exp
 
 
-def as_natural(value: Fraction | int, what: str = "value", den: int = 1) -> int:
+def as_natural(value: Fraction | int, what: str = "value", den: int = 1, *args: object) -> int:
     """The quotient value/den (den > 0), which must be a non-negative integer.
 
-    Raises :class:`NonIntegralError` otherwise; nothing is ever rounded.
+    Raises :class:`NonIntegralError` otherwise; nothing is ever rounded.  As
+    in a logging call, the label is ``what % args`` and is formatted only
+    when the check fails.
 
     >>> as_natural(486, "LL degree", 3), as_natural(Fraction(162, 1))
     (162, 162)
@@ -80,7 +82,7 @@ def as_natural(value: Fraction | int, what: str = "value", den: int = 1) -> int:
     if rest or n < 0:
         problem = "not an integer" if rest else "negative"
         shown = value if den == 1 else f"{value}/{den}"
-        raise NonIntegralError(f"{what} is {problem}: {shown}")
+        raise NonIntegralError(f"{what % args if args else what} is {problem}: {shown}")
     return n
 
 

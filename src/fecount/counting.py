@@ -105,7 +105,7 @@ def deg_ll_dynkin(dtype: DynkinType) -> int:
     """
     n = dtype.rank
     num = factorial(n) * coxeter_number(dtype) ** n
-    return as_natural(num, f"LL degree of {dtype}", math.prod(invariant_degrees(dtype)))
+    return as_natural(num, "LL degree of %s", math.prod(invariant_degrees(dtype)), dtype)
 
 
 def e_forest(forest: DynkinForest) -> int:
@@ -152,7 +152,7 @@ def e_dynkin_recursive(dtype: DynkinType) -> int:
     3
     """
     total = coxeter_number(dtype) * sum(deletion_counts(dynkin_diagram(dtype)))
-    return as_natural(total, f"recursion total for {dtype}", 2)
+    return as_natural(total, "recursion total for %s", 2, dtype)
 
 
 class CountCache:
@@ -312,7 +312,7 @@ def affine_total(
     if first % s:
         log.info("deletion term for %s is non-integral on its own: %d/%d", triple, first, s)
     second = sum(triple.orders[i - 1] * term for i, _, term in branches)
-    return as_natural(first + s * second, f"recursion total for {triple}", s)
+    return as_natural(first + s * second, "recursion total for %s", s, triple)
 
 
 def e_affine_closed(triple: OrbifoldTriple) -> int:
@@ -327,7 +327,8 @@ def e_affine_closed(triple: OrbifoldTriple) -> int:
     a1, a2, a3 = triple.orders
     m = a1 + a2 + a3
     num = math.comb(m, a1) * math.comb(a2 + a3, a2) * a1**(a1 + 1) * a2**(a2 + 1) * a3**(a3 + 1)
-    return as_natural(num, f"closed form for ({a1},{a2},{a3})", m * euler_numerator(a1, a2, a3))
+    den = m * euler_numerator(a1, a2, a3)
+    return as_natural(num, "closed form for (%d,%d,%d)", den, a1, a2, a3)
 
 
 def deg_ll_affine(triple: OrbifoldTriple) -> int:
@@ -344,7 +345,7 @@ def deg_ll_affine(triple: OrbifoldTriple) -> int:
         for j in range(1, a_i):
             num *= a_i
             den *= a_i - j
-    return as_natural(num, f"LL degree of {triple}", den)
+    return as_natural(num, "LL degree of %s", den, triple)
 
 
 def admissible_triples(max_mu: int) -> Iterator[OrbifoldTriple]:

@@ -32,14 +32,15 @@ Representations:
   by the gcd of its entries, so it is exact with no floating point and no
   Fraction.
 
-The factorization count is a descent through the absolute order: a
-reflection t shortens w exactly when its root lies in the moved space
-im(w - 1), equivalently is orthogonal to the fixed space ker(w - 1)
-(Carter's lemma).  The walk goes from the Coxeter element to the identity,
-one reflection at a time, and is tallied level by level, with the level
-dictionaries acting as the memo of the usual recursive formulation.  A
-reflection below w' <=_T w is also below w, so each element inherits its
-parent's shortening reflections as candidates and tests only those.
+The factorization count is a descent through the absolute order from a top
+c with Fix(c) = 0, tallied level by level; the level dictionaries are the
+memo of the usual recursive formulation.  A reflection lies below w exactly
+when its root is orthogonal to Fix(w).  For c = u v with l(u) + l(v) = n,
+Fix(v) = (c - 1)^-1 Mov(u) (Brady and Watt 2002, "A partial order on the
+orthogonal group"), and Mov(u) is spanned by the roots of any reduced
+u = t_1...t_k (Carter's lemma: Carter 1972, "Conjugacy classes in the Weyl
+group").  So Fix(v) is spanned by f_t1, ..., f_tk, where f_t spans Fix(t c):
+one fixed vector per reflection, found once per walk, decides every descent.
 """
 from __future__ import annotations
 
@@ -306,6 +307,22 @@ def absolute_length(rs: RootSystem, g: tuple[int, ...]) -> int:
     return rs.rank - len(_fixed_space(rs.coords, tuple(g[s] for s in rs.simple_roots)))
 
 
+def _descent_masks(rs: RootSystem, top_key: tuple[int, ...]) -> list[int]:
+    """One mask per positive root t, in ``rs.positive_roots`` order: bit b is
+    set when the root of reflection b, paired through the invariant form, is
+    orthogonal to f_t, the one vector fixed by t·top.  The top is keyed by
+    its simple-root images and must have Fix(top) = 0."""
+    coords = rs.coords
+    assert not _fixed_space(coords, top_key)  # top has full absolute length
+    paired = [tuple(sum(map(mul, row, coords[i])) for row in rs.cartan) for i in rs.positive_roots]
+    masks = []
+    for i in rs.positive_roots:
+        fixed = _fixed_space(coords, tuple(rs.reflections[i][k] for k in top_key))
+        assert len(fixed) == 1
+        masks.append(sum(1 << b for b, p in enumerate(paired) if not sum(map(mul, p, fixed[0]))))
+    return masks
+
+
 def count_reflection_factorizations(
     rs: RootSystem,
     budget_ms: float | None = None,
@@ -318,10 +335,15 @@ def count_reflection_factorizations(
     Starting from the Coxeter element, repeatedly multiply by every
     reflection that shortens the element, accumulating multiplicities per
     element in a level dictionary; after rank steps all mass sits on the
-    identity and its multiplicity is the answer.  Only the reflections that
-    shortened the parent are tested at a child.  ``budget_ms`` aborts the
-    walk with :class:`OracleBudgetExceeded`, whose message gives the
-    absolute length reached and the elements seen so far.
+    identity and its multiplicity is the answer.  By Carter's lemma and
+    Brady-Watt (module docstring), the reflections below t_k...t_1 c are the
+    AND of :func:`_descent_masks` over t_1, ..., t_k.  No step checks a
+    length: a reflection flips the parity of the absolute length and moves
+    it by exactly 1, so a path from a full-length top that reaches the
+    identity in rank steps shortened at every step, and the final assert
+    checks that every path does.  ``budget_ms`` aborts the walk with
+    :class:`OracleBudgetExceeded`, whose message gives the absolute length
+    reached and the elements seen so far.
 
     >>> rs = build_root_system(DynkinType("A", 2))
     >>> count_reflection_factorizations(rs)
@@ -330,47 +352,33 @@ def count_reflection_factorizations(
     n = rs.rank
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     top = coxeter if coxeter is not None else coxeter_element(rs)
-
-    # Pair each reflection's permutation with its root paired through the
-    # invariant form: the shortening test is "orthogonal to the fixed space".
-    reflections = []
-    for idx in rs.positive_roots:
-        rho = rs.coords[idx]
-        paired = tuple(
-            sum(rs.cartan[i][j] * rho[j] for j in range(n)) for i in range(n)
-        )
-        reflections.append((rs.reflections[idx], paired))
-
     simple = rs.simple_roots
-    coords = rs.coords
+    top_key = tuple(top[s] for s in simple)
+    perms = [rs.reflections[i] for i in rs.positive_roots]
+    masks = _descent_masks(rs, top_key)
+
     # An element is keyed by the root indices of its simple-root images and
-    # carries [ways, candidates]: the reflections below its parent, a superset
-    # of the reflections below it.
-    level: dict[tuple[int, ...], list] = {
-        tuple(top[s] for s in simple): [1, reflections]
-    }
+    # carries [ways, mask]: the mask has a bit for each reflection below it.
+    level: dict[tuple[int, ...], list] = {top_key: [1, (1 << len(perms)) - 1]}
     elements_seen = 1
     for length in range(n, 0, -1):
         descended: dict[tuple[int, ...], list] = {}
-        for key, (ways, candidates) in level.items():
+        for key, (ways, below) in level.items():
             if deadline is not None and time.monotonic() > deadline:
                 raise OracleBudgetExceeded(
                     f"factorization count for {rs.dtype} exceeded {budget_ms} ms "
                     f"at absolute length {length} with "
                     f"{elements_seen + len(descended)} elements seen"
                 )
-            fixed = _fixed_space(coords, key)
-            assert len(fixed) == n - length  # exact descent; full length at the top
-            below = [
-                refl
-                for refl in candidates
-                if not any(sum(map(mul, refl[1], vec)) for vec in fixed)
-            ]
-            for refl_perm, _ in below:
-                child = tuple(refl_perm[k] for k in key)
+            assert below  # only the identity has no reflection below it
+            rest = below
+            while rest:
+                b = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                child = tuple(map(perms[b].__getitem__, key))
                 entry = descended.get(child)
                 if entry is None:
-                    descended[child] = [ways, below]
+                    descended[child] = [ways, below & masks[b]]
                 else:
                     entry[0] += ways
         level = descended
@@ -380,4 +388,6 @@ def count_reflection_factorizations(
         "%s: %d elements visited below the Coxeter element", rs.dtype, elements_seen
     )
     assert set(level) == {simple}
-    return level[simple][0]
+    ways, below = level[simple]
+    assert not below
+    return ways

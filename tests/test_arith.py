@@ -103,6 +103,16 @@ def test_as_natural_rejects_non_integral_and_negative():
         as_natural(-6, "p", 2)
 
 
+def test_as_natural_formats_its_label_only_on_failure():
+    class Unprintable:
+        def __str__(self):
+            raise AssertionError("label formatted on success")
+
+    assert as_natural(486, "LL degree of %s", 3, Unprintable()) == 162
+    with pytest.raises(NonIntegralError, match=r"^closed form for \(2,3,4\) is not an integer: 7/2$"):
+        as_natural(7, "closed form for (%d,%d,%d)", 2, 2, 3, 4)
+
+
 @given(st.integers(min_value=0, max_value=10**40))
 def test_decimal_round_trip(n):
     assert parse_decimal(render_decimal(n)) == n

@@ -1,6 +1,7 @@
 """Counting engine: closed forms, recursions, LL degrees, cache behaviour."""
 import ast
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -411,6 +412,21 @@ class TestIntegrality:
 
         with pytest.raises(NonIntegralError):
             as_natural(Fraction(1224721, 6), "probe")
+
+    @pytest.mark.parametrize(
+        "compute,label",
+        [
+            (counting.e_affine_closed, "closed form for (2,3,4)"),
+            (counting.deg_ll_affine, "LL degree of (2,3,4)"),
+            (lambda t: counting.affine_total(t, [1], []), "recursion total for (2,3,4)"),
+        ],
+        ids=["closed", "ll_degree", "recursion"],
+    )
+    def test_failure_names_the_triple(self, monkeypatch, compute, label):
+        # A wrong Euler numerator makes each of the three divisions inexact.
+        monkeypatch.setattr(counting, "euler_numerator", lambda *orders: 10**9 + 7)
+        with pytest.raises(NonIntegralError, match=rf"^{re.escape(label)} is not an integer: "):
+            compute(OrbifoldTriple.of(2, 3, 4))
 
     def test_counting_is_integer_only(self):
         """Every rational formula is an integer pair checked by as_natural."""

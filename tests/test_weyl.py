@@ -1,7 +1,9 @@
 """Reflection-group brute force: roots, Coxeter elements, chain counts."""
 import ast
+import functools
 import itertools
 import logging
+import math
 import re
 from fractions import Fraction
 
@@ -270,6 +272,21 @@ class TestKernelBasis:
         assert not basis or fraction_rank(basis) == len(basis)
 
 
+# Every type of rank <= 8 but E8, whose count the acceptance suite checks.
+BELOW_E8 = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7"]
+
+
+def catalan_number(dtype) -> int:
+    """|NC(W)|: C(n+1) for A_n, (3n-2)/n C(2n-2, n-1) for D_n, 833 and 4160
+    for E6 and E7."""
+    n = dtype.rank
+    if dtype.family == "A":
+        return math.comb(2 * n + 2, n + 1) // (n + 2)
+    if dtype.family == "D":
+        return (3 * n - 2) * math.comb(2 * n - 2, n - 1) // n
+    return {6: 833, 7: 4160}[n]
+
+
 class TestFactorizationCounts:
     @pytest.mark.parametrize("tok,expected", [("A1", 1), ("A2", 3), ("A3", 16)])
     def test_matches_exhaustive_enumeration(self, tok, expected):
@@ -283,7 +300,7 @@ class TestFactorizationCounts:
         assert brute == 162
         assert count_reflection_factorizations(rs) == brute
 
-    @pytest.mark.parametrize("tok", ["A4", "A5", "D5", "E6"])
+    @pytest.mark.parametrize("tok", BELOW_E8)
     def test_matches_closed_form(self, tok):
         rs = build_root_system(T(tok))
         assert count_reflection_factorizations(rs) == e_dynkin_closed(T(tok))
@@ -332,6 +349,41 @@ class TestFactorizationCounts:
         assert chain_count[coxeter_element(rs)] == 162
         assert count_reflection_factorizations(rs) == 162
 
+    @pytest.mark.parametrize("tok", ["A5", "D5", "E6"])
+    def test_descent_masks_agree_with_rank_computation(self, tok):
+        """Along one path to each element of NC(W), the AND of the descent
+        masks of the reflections taken is the set of reflections whose
+        product with the element is one shorter, by direct rank computation."""
+        rs = build_root_system(T(tok))
+        top = coxeter_element(rs)
+        masks = weyl._descent_masks(rs, tuple(top[s] for s in rs.simple_roots))
+        refl = [rs.reflections[i] for i in rs.positive_roots]
+        length = functools.cache(lambda g: absolute_length(rs, g))
+        path_mask = {top: (1 << len(refl)) - 1}
+        frontier = [top]
+        while frontier:
+            g = frontier.pop()
+            shortening = 0
+            for b, t in enumerate(refl):
+                h = compose(t, g)
+                if length(h) == length(g) - 1:
+                    shortening |= 1 << b
+                    if h not in path_mask:
+                        path_mask[h] = path_mask[g] & masks[b]
+                        frontier.append(h)
+            assert path_mask[g] == shortening
+        assert len(path_mask) == catalan_number(T(tok))
+
+    @pytest.mark.parametrize("tok,count", [("D4", 72), ("D6", 10800), ("E7", 680400)])
+    def test_full_length_non_coxeter_top(self, tok, count):
+        """-1 has no fixed vector, so the walk accepts it as a top; its
+        factorization counts are pinned."""
+        rs = build_root_system(T(tok))
+        # coords is sorted and closed under negation: -coords[k] is coords[-1 - k]
+        minus_one = tuple(len(rs) - 1 - k for k in range(len(rs)))
+        assert absolute_length(rs, minus_one) == rs.rank
+        assert count_reflection_factorizations(rs, coxeter=minus_one) == count
+
     @pytest.mark.parametrize("tok", ["A3", "D4"])
     def test_a_non_coxeter_top_is_refused(self, tok):
         """A reflection has absolute length 1, not the rank: the walk's
@@ -350,12 +402,12 @@ class TestFactorizationCounts:
 
     def test_visited_element_count_is_logged(self, caplog):
         rs = build_root_system(T("A3"))
-        with caplog.at_level(logging.DEBUG, logger="fecount.weyl"):
+        with caplog.at_level(logging.INFO, logger="fecount.weyl"):
             count_reflection_factorizations(rs)
         notes = [r for r in caplog.records if "elements visited" in r.message]
-        assert notes, "expected a debug record with the memo size"
+        assert notes, "expected an INFO record with the memo size"
 
-    @pytest.mark.parametrize("tok,catalan", [("A4", 42), ("D5", 182), ("E6", 833)])
+    @pytest.mark.parametrize("tok,catalan", [(tok, catalan_number(T(tok))) for tok in BELOW_E8])
     def test_visited_elements_are_the_noncrossing_partitions(self, caplog, tok, catalan):
         """The walk visits each element of NC(W) once, |NC(W)| = Catalan(W)."""
         rs = build_root_system(T(tok))
